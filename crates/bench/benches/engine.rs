@@ -53,7 +53,7 @@ fn bgp_convergence(c: &mut Criterion) {
             for &site in cdn.site_nodes() {
                 sim.announce(site, prefix, OriginConfig::plain());
             }
-            sim.run_to_idle(10_000_000);
+            sim.run_to_idle(10_000_000).expect_within_budget("converge");
             sim.sim().stats().messages
         })
     });
@@ -62,12 +62,12 @@ fn bgp_convergence(c: &mut Criterion) {
             || {
                 let mut sim = Standalone::new(&topo, BgpTimingConfig::default(), &rng);
                 sim.announce(cdn.site_nodes()[0], prefix, OriginConfig::plain());
-                sim.run_to_idle(10_000_000);
+                sim.run_to_idle(10_000_000).expect_within_budget("converge");
                 sim
             },
             |mut sim| {
                 sim.withdraw(cdn.site_nodes()[0], prefix);
-                sim.run_to_idle(10_000_000);
+                sim.run_to_idle(10_000_000).expect_within_budget("converge");
                 sim.sim().stats().messages
             },
             BatchSize::SmallInput,

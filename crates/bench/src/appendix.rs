@@ -84,11 +84,13 @@ pub fn withdrawal_convergence_instrumented(
             queue_hint.load(Ordering::Relaxed),
         );
         sim.announce(origin, prefix, OriginConfig::plain());
-        sim.run_to_idle(cfg.max_events);
+        sim.run_to_idle(cfg.max_events)
+            .expect_within_budget("converge");
         sim.sim_mut().set_record_history(true);
         let t_withdraw = sim.now();
         sim.withdraw(origin, prefix);
-        sim.run_to_idle(cfg.max_events);
+        sim.run_to_idle(cfg.max_events)
+            .expect_within_budget("converge");
 
         let feed = collector.feed(sim.sim().history(), prefix);
         // The paper estimates the withdrawal instant from the update burst
@@ -186,7 +188,8 @@ pub fn announcement_propagation_instrumented(
         for o in &origins {
             sim.announce(*o, prefix, OriginConfig::plain());
         }
-        sim.run_to_idle(cfg.max_events);
+        sim.run_to_idle(cfg.max_events)
+            .expect_within_budget("converge");
 
         let feed = collector.feed(sim.sim().history(), prefix);
         // Propagation measured from the true announcement instant; the

@@ -11,18 +11,22 @@
 //!   cells; deterministic for a fixed scale/seed, so a change means the
 //!   simulation itself changed shape, not just the host.
 //!
+//! Wall time only compares like for like: the bench file's `jobs` and
+//! `scale` must equal the baseline's, or the gate refuses to compare.
+//!
 //! Exit status: 0 when every aggregate metric is within tolerance, 1 on
-//! regression, 2 on usage/parse errors. The per-technique drill-down is
+//! regression, 2 on usage/parse errors or a `jobs`/`scale` mismatch with
+//! the baseline. The per-technique drill-down is
 //! informational only (small per-technique samples are noisier than any
 //! tolerance worth gating on). CI's `perf-smoke` job runs this as a hard
-//! gate at `--tolerance 0.10` and publishes the drill-down table in the
-//! job summary.
+//! gate at `--tolerance 0.10` after a `--jobs 1` reproduction, and
+//! publishes the drill-down table in the job summary.
 //!
 //! Regenerate the baseline after an intentional perf change:
 //!
 //! ```text
-//! cargo run --release --bin repro_all -- --quick 10 --seed 42
-//! cargo run --release --bin bench_gate -- --write-baseline
+//! cargo run --release -p bobw-bench --bin repro_all -- --scale quick --seed 42 --jobs 1
+//! cargo run --release -p bobw-bench --bin bench_gate -- --write-baseline
 //! ```
 
 use std::process::exit;
@@ -101,6 +105,9 @@ impl TechMetrics {
 
 /// The aggregate metrics of one `PerfLog` dump.
 struct Metrics {
+    /// Worker threads and scale the batches ran with.
+    jobs: u64,
+    scale: String,
     cells: usize,
     total_events: u64,
     wall_micros: u64,
@@ -122,6 +129,15 @@ impl Metrics {
 fn load_metrics(path: &str) -> Result<Metrics, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let root = serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    let jobs = root
+        .get("jobs")
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("{path}: missing 'jobs'"))?;
+    let scale = root
+        .get("scale")
+        .and_then(Value::as_str)
+        .ok_or_else(|| format!("{path}: missing 'scale'"))?
+        .to_string();
     let wall_micros = root
         .get("elapsed_micros")
         .and_then(Value::as_u64)
@@ -158,12 +174,28 @@ fn load_metrics(path: &str) -> Result<Metrics, String> {
         t.cell_micros += micros;
     }
     Ok(Metrics {
+        jobs,
+        scale,
         cells: cells.len(),
         total_events,
         wall_micros,
         peak_queue_depth,
         by_technique,
     })
+}
+
+/// Wall time is only comparable between runs with the same worker count
+/// and scale.
+fn like_for_like(cur: &Metrics, base: &Metrics) -> Result<(), String> {
+    if (cur.jobs, &cur.scale) == (base.jobs, &base.scale) {
+        Ok(())
+    } else {
+        Err(format!(
+            "ran with jobs {} at scale {}, but the baseline was recorded with jobs {} at \
+             scale {}; rerun repro_all with matching --jobs/--scale",
+            cur.jobs, cur.scale, base.jobs, base.scale
+        ))
+    }
 }
 
 /// One gate line. `higher_is_better` picks the regression direction; a
@@ -224,6 +256,11 @@ fn main() {
         eprintln!("error: {e}");
         exit(2);
     });
+
+    if let Err(e) = like_for_like(&cur, &base) {
+        eprintln!("error: {} vs {}: {e}", args.bench, args.baseline);
+        exit(2);
+    }
 
     println!(
         "bench gate: {} ({} cells) vs {} ({} cells), tolerance {:.0}%",
@@ -312,5 +349,30 @@ fn main() {
     } else {
         println!("bench gate: FAIL (regenerate the baseline with --write-baseline if intentional)");
         exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn metrics(jobs: u64, scale: &str) -> Metrics {
+        Metrics {
+            jobs,
+            scale: scale.to_string(),
+            cells: 0,
+            total_events: 0,
+            wall_micros: 0,
+            peak_queue_depth: 0,
+            by_technique: Default::default(),
+        }
+    }
+
+    #[test]
+    fn refuses_a_different_jobs_or_scale() {
+        let base = metrics(1, "quick");
+        assert!(like_for_like(&metrics(1, "quick"), &base).is_ok());
+        assert!(like_for_like(&metrics(4, "quick"), &base).is_err());
+        assert!(like_for_like(&metrics(1, "eval"), &base).is_err());
     }
 }

@@ -40,7 +40,7 @@ fn main() {
         s.sim_mut().set_record_history(true);
         s.announce(site, prefix, OriginConfig::plain());
         let t0 = SimTime::ZERO;
-        s.run_to_idle(50_000_000);
+        s.run_to_idle(50_000_000).expect_within_budget("converge");
         // First time each node got a best route.
         let mut first = std::collections::HashMap::new();
         for rc in s.sim().history() {
@@ -70,7 +70,7 @@ fn main() {
     for (i, &site) in cdn.site_nodes().iter().enumerate() {
         let mut s = Standalone::new(&topo, timing.clone(), &rng.derive("wd", i as u64));
         s.announce(site, prefix, OriginConfig::plain());
-        s.run_to_idle(50_000_000);
+        s.run_to_idle(50_000_000).expect_within_budget("converge");
         let t0 = s.now();
         s.sim_mut().set_record_history(true);
         s.withdraw(site, prefix);

@@ -46,7 +46,8 @@ fn main() {
     for s in cdn.sites() {
         sim.announce(cdn.node(s), plan.anycast_probe, OriginConfig::plain());
     }
-    sim.run_to_idle(cfg.max_events);
+    sim.run_to_idle(cfg.max_events)
+        .expect_within_budget("converge");
 
     // Anycast RTT per client, and the geographically best site's RTT lower
     // bound (direct fiber distance — the CDN could serve from there with a

@@ -48,14 +48,19 @@ fn main() {
     let mut sim = Standalone::new(&topo, cfg.timing.clone(), &rng);
     sim.sim_mut().set_record_history(true);
     sim.announce(origin, prefix, OriginConfig::plain());
-    sim.run_to_idle(cfg.max_events);
+    sim.run_to_idle(cfg.max_events)
+        .expect_within_budget("converge");
     let t_withdraw = SimTime::from_secs(2 * 86_400 + 41_234);
-    sim.run_until(t_withdraw, cfg.max_events);
+    sim.run_until(t_withdraw, cfg.max_events)
+        .expect_within_budget("run to deadline");
     sim.withdraw(origin, prefix);
-    sim.run_to_idle(cfg.max_events);
-    sim.run_until(SimTime::from_secs(4 * 86_400), cfg.max_events);
+    sim.run_to_idle(cfg.max_events)
+        .expect_within_budget("converge");
+    sim.run_until(SimTime::from_secs(4 * 86_400), cfg.max_events)
+        .expect_within_budget("run to deadline");
     sim.announce(origin, prefix, OriginConfig::plain());
-    sim.run_until(SimTime::from_secs(5 * 86_400), cfg.max_events);
+    sim.run_until(SimTime::from_secs(5 * 86_400), cfg.max_events)
+        .expect_within_budget("run to deadline");
 
     let feed = collector.feed(sim.sim().history(), prefix);
     println!(

@@ -159,7 +159,7 @@ mod tests {
         let rng = RngFactory::new(1);
         let mut s = Standalone::new(&t, BgpTimingConfig::instant(), &rng);
         s.announce(origin, p("10.9.0.0/24"), OriginConfig::plain());
-        s.run_to_idle(1_000_000);
+        s.run_to_idle(1_000_000).expect_within_budget("converge");
         (s, x, cust, peer)
     }
 
@@ -201,7 +201,7 @@ mod tests {
     fn self_originated_listed_as_local_best() {
         let (mut s, x, _, _) = setup();
         s.announce(x, p("10.9.0.0/24"), OriginConfig::plain());
-        s.run_to_idle(1_000_000);
+        s.run_to_idle(1_000_000).expect_within_budget("converge");
         let cands = explain(s.sim(), x, &p("10.9.0.0/24"));
         assert_eq!(cands[0].from, None);
         assert_eq!(cands[0].verdict, Verdict::Best);

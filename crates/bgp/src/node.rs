@@ -399,7 +399,8 @@ impl BgpNode {
     }
 
     /// Brings the session to `neighbor` back up and re-exports the full
-    /// table (BGP session establishment resends everything).
+    /// table (BGP session establishment resends everything). Returns `true`
+    /// on a real down→up transition; restoring a live session is a no-op.
     pub fn restore_session(
         &mut self,
         now: SimTime,
@@ -407,14 +408,14 @@ impl BgpNode {
         timing: &BgpTimingConfig,
         rng: &mut SmallRng,
         out: &mut Vec<(SimDuration, BgpEvent)>,
-    ) {
+    ) -> bool {
         let Some(idx) = self.nbr_pos(neighbor) else {
-            return;
+            return false;
         };
         {
             let nbr = &mut self.neighbors[idx];
             if nbr.up {
-                return;
+                return false;
             }
             nbr.up = true;
             nbr.fwd_up = true;
@@ -432,6 +433,7 @@ impl BgpNode {
         }
         prefixes.clear();
         self.scratch = prefixes;
+        true
     }
 
     /// Processes one incoming message. Returns whether the best route for

@@ -3,7 +3,7 @@
 //! pure-control-plane experiments.
 
 use bobw_event::{Engine, Handler, RngFactory, Scheduler, SimDuration, SimTime, StepOutcome};
-use bobw_net::{AsPath, NodeId, Prefix};
+use bobw_net::{AsPath, FlatPrefixMap, Ipv4Net, NodeId, Prefix};
 use bobw_session::{
     codec, BgpMessage, DownReason, FsmInput, FsmOutput, PeerFsm, PeerState, SessionConfig,
     SessionPayload, TimerKind, UpdateAttrs, UpdateMsg, CEASE,
@@ -45,11 +45,15 @@ pub struct BgpSim {
     history: Vec<RouteChange>,
     record_history: bool,
     stats: SimStats,
-    /// Bumped on every change to observable forwarding state: any node's
-    /// best route (hence FIB) and any session's up/down flag. Lets data
-    /// plane consumers memoize pure functions of FIB + session state (probe
-    /// walks) and invalidate exactly when routing actually moved.
-    version: u64,
+    /// Forwarding-state clock: advanced by every change a data-plane walk
+    /// could observe, which then stamps what it touched with the new value.
+    clock: u64,
+    /// Per prefix, the clock value of the last FIB insert or remove of that
+    /// prefix at any node.
+    fib_stamps: FlatPrefixMap<u64>,
+    /// The clock value of the last session (`up`) or forwarding (`fwd_up`)
+    /// flag flip at any node.
+    link_stamp: u64,
     /// Message-level session layer (per-peer FSMs + wire codec on every
     /// message). `None` = the abstract model: adjacencies are booleans and
     /// session management is implicit. Strictly opt-in via
@@ -255,7 +259,9 @@ impl BgpSim {
             history: Vec::new(),
             record_history: false,
             stats: SimStats::default(),
-            version: 0,
+            clock: 0,
+            fib_stamps: FlatPrefixMap::new(),
+            link_stamp: 0,
             session: None,
         }
     }
@@ -298,7 +304,7 @@ impl BgpSim {
             node.quiesce_sessions();
         }
         self.session = Some(SessionLayer { knobs, sessions });
-        self.version += 1;
+        self.link_changed();
     }
 
     /// Is the message-level session model active?
@@ -326,12 +332,73 @@ impl BgpSim {
         self.session = Some(layer);
     }
 
-    /// Monotone counter over forwarding-state changes (FIBs and session
-    /// up/down flags). Two calls returning the same value bracket a window
-    /// in which every [`fib_lookup`](BgpSim::fib_lookup) and
-    /// [`link_is_up`](BgpSim::link_is_up) answer was stable.
-    pub fn state_version(&self) -> u64 {
-        self.version
+    /// The forwarding key of destination `dst`: the latest stamp among the
+    /// prefixes covering `dst` and the link flags. Stamps come from one
+    /// monotone clock, so two calls returning the same key bracket a window
+    /// in which no FIB entry covering `dst` and no link flag changed: every
+    /// [`fib_lookup`](BgpSim::fib_lookup)`(n, dst)` and
+    /// [`link_is_up`](BgpSim::link_is_up) answer, for every node, was
+    /// stable. Changes to prefixes that do not cover `dst` leave it alone.
+    pub fn forwarding_key(&self, dst: Ipv4Net) -> u64 {
+        self.fib_stamps
+            .iter()
+            .filter(|(p, _)| p.contains(dst))
+            .fold(self.link_stamp, |key, (_, &stamp)| key.max(stamp))
+    }
+
+    /// A node's FIB entry for `prefix` was inserted or removed: stamp the
+    /// prefix and feed the collector history.
+    fn fib_changed(&mut self, now: SimTime, node: NodeId, prefix: Prefix) {
+        self.clock += 1;
+        match self.fib_stamps.get_mut(&prefix) {
+            Some(stamp) => *stamp = self.clock,
+            None => {
+                self.fib_stamps.insert(prefix, self.clock);
+            }
+        }
+        self.record_change(now, node, prefix);
+    }
+
+    /// Some node's session or forwarding flag flipped.
+    fn link_changed(&mut self) {
+        self.clock += 1;
+        self.link_stamp = self.clock;
+    }
+
+    /// [`BgpNode::fail_session`] with link bookkeeping. The forwarding flag
+    /// can drop even when the session was already down (a half-open
+    /// session whose wire is cut later), so both flags are checked.
+    fn fail_session(&mut self, node: NodeId, peer: NodeId) -> bool {
+        let fwd_was_up = self.nodes[node.index()].forwarding_is_up(peer);
+        let went_down = self.nodes[node.index()].fail_session(peer);
+        if went_down || fwd_was_up {
+            self.link_changed();
+        }
+        went_down
+    }
+
+    /// [`BgpNode::fail_session_control`] with link bookkeeping.
+    fn fail_session_control(&mut self, node: NodeId, peer: NodeId) -> bool {
+        let went_down = self.nodes[node.index()].fail_session_control(peer);
+        if went_down {
+            self.link_changed();
+        }
+        went_down
+    }
+
+    /// [`BgpNode::restore_session`] with link bookkeeping.
+    fn restore_session(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        peer: NodeId,
+        out: &mut Vec<(SimDuration, BgpEvent)>,
+    ) {
+        let idx = node.index();
+        let (n, rng) = (&mut self.nodes[idx], &mut self.proc_rngs[idx]);
+        if n.restore_session(now, peer, &self.timing, rng, out) {
+            self.link_changed();
+        }
     }
 
     /// Enables/disables the route-change history (collector feed). Off by
@@ -397,8 +464,7 @@ impl BgpSim {
             out,
         );
         if changed {
-            self.version += 1;
-            self.record_change(now, node, prefix);
+            self.fib_changed(now, node, prefix);
         }
     }
 
@@ -418,8 +484,7 @@ impl BgpSim {
             out,
         );
         if changed {
-            self.version += 1;
-            self.record_change(now, node, prefix);
+            self.fib_changed(now, node, prefix);
         }
     }
 
@@ -456,8 +521,7 @@ impl BgpSim {
                 );
                 if changed {
                     self.stats.best_changes += 1;
-                    self.version += 1;
-                    self.record_change(now, to, prefix);
+                    self.fib_changed(now, to, prefix);
                 }
             }
             BgpEvent::Fire {
@@ -483,8 +547,7 @@ impl BgpSim {
                 );
                 if changed {
                     self.stats.best_changes += 1;
-                    self.version += 1;
-                    self.record_change(now, node, prefix);
+                    self.fib_changed(now, node, prefix);
                 }
             }
             BgpEvent::HoldExpire { node, neighbor } => {
@@ -539,8 +602,7 @@ impl BgpSim {
         );
         for prefix in changed {
             self.stats.best_changes += 1;
-            self.version += 1;
-            self.record_change(now, node, prefix);
+            self.fib_changed(now, node, prefix);
         }
     }
 
@@ -554,9 +616,7 @@ impl BgpSim {
         peer: NodeId,
         out: &mut Vec<(SimDuration, BgpEvent)>,
     ) {
-        if self.nodes[node.index()].fail_session_control(peer) {
-            self.version += 1;
-        }
+        self.fail_session_control(node, peer);
         self.expire_now(now, node, peer, out);
     }
 
@@ -664,17 +724,13 @@ impl BgpSim {
                 FsmOutput::Up { .. } => {
                     layer.cancel(idx, nix, SessionTimerKind::Hold);
                     layer.cancel(idx, nix, SessionTimerKind::Keepalive);
-                    let (n, rng) = (&mut self.nodes[idx], &mut self.proc_rngs[idx]);
-                    n.restore_session(now, peer, &self.timing, rng, out);
-                    self.version += 1;
+                    self.restore_session(now, node, peer, out);
                 }
                 FsmOutput::Down { reason } => match reason {
                     DownReason::PeerRestarting { window_s } => {
                         // Graceful restart: keep forwarding AND keep the
                         // routes (marked stale) for the advertised window.
-                        if self.nodes[idx].fail_session_control(peer) {
-                            self.version += 1;
-                        }
+                        self.fail_session_control(node, peer);
                         layer.sessions[idx][nix].stale = self.nodes[idx].prefixes_from(peer);
                         let gen = layer.arm(idx, nix, SessionTimerKind::StaleSweep);
                         out.push((
@@ -767,8 +823,7 @@ impl BgpSim {
                         );
                         for prefix in changed {
                             self.stats.best_changes += 1;
-                            self.version += 1;
-                            self.record_change(now, node, prefix);
+                            self.fib_changed(now, node, prefix);
                         }
                     }
                 }
@@ -798,8 +853,7 @@ impl BgpSim {
             // already-failed link (a SilentCrash after a drill, overlapping
             // whole-site failures) must not schedule a duplicate HoldExpire,
             // which would rerun the purge and inflate best_changes/history.
-            if self.nodes[x.index()].fail_session(y) {
-                self.version += 1;
+            if self.fail_session(x, y) {
                 out.push((
                     hold,
                     BgpEvent::HoldExpire {
@@ -838,10 +892,7 @@ impl BgpSim {
         out: &mut Vec<(SimDuration, BgpEvent)>,
     ) {
         for (x, y) in [(a, b), (b, a)] {
-            let idx = x.index();
-            let (node, rng) = (&mut self.nodes[idx], &mut self.proc_rngs[idx]);
-            node.restore_session(now, y, &self.timing, rng, out);
-            self.version += 1;
+            self.restore_session(now, x, y, out);
         }
     }
 
@@ -891,21 +942,18 @@ impl BgpSim {
                 continue;
             };
             layer.sessions[xi][nix].admin_up = false;
-            if self.nodes[xi].fail_session(y) {
-                self.version += 1;
-                if layer.sessions[xi][nix].fsm.is_established() {
-                    let hold = layer.sessions[xi][nix].fsm.hold_time();
-                    let gen = layer.arm(xi, nix, SessionTimerKind::Hold);
-                    out.push((
-                        hold,
-                        BgpEvent::SessionTimer {
-                            node: x,
-                            neighbor: y,
-                            kind: SessionTimerKind::Hold,
-                            gen,
-                        },
-                    ));
-                }
+            if self.fail_session(x, y) && layer.sessions[xi][nix].fsm.is_established() {
+                let hold = layer.sessions[xi][nix].fsm.hold_time();
+                let gen = layer.arm(xi, nix, SessionTimerKind::Hold);
+                out.push((
+                    hold,
+                    BgpEvent::SessionTimer {
+                        node: x,
+                        neighbor: y,
+                        kind: SessionTimerKind::Hold,
+                        gen,
+                    },
+                ));
             }
         }
         self.session = Some(layer);
@@ -982,9 +1030,7 @@ impl BgpSim {
             self.session = Some(layer);
         } else {
             for (x, y) in [(a, b), (b, a)] {
-                if self.nodes[x.index()].fail_session(y) {
-                    self.version += 1;
-                }
+                self.fail_session(x, y);
                 self.expire_now(now, x, y, out);
             }
             self.restore_sessions_raw(now, a, b, out);
@@ -1036,12 +1082,9 @@ impl BgpSim {
             }
             self.session = Some(layer);
         } else {
-            if self.nodes[peer.index()].fail_session_control(site) {
-                self.version += 1;
-            }
+            self.fail_session_control(peer, site);
             self.expire_now(now, peer, site, out);
-            if self.nodes[site.index()].fail_session_control(peer) {
-                self.version += 1;
+            if self.fail_session_control(site, peer) {
                 out.push((
                     self.timing.hold_time(),
                     BgpEvent::HoldExpire {
@@ -1084,9 +1127,7 @@ impl BgpSim {
                 layer.sessions[idx][nix].blocked = true;
                 layer.sessions[idx][nix].stale.clear();
                 layer.cancel_all(idx, nix);
-                if self.nodes[idx].fail_session_control(peer) {
-                    self.version += 1;
-                }
+                self.fail_session_control(node, peer);
                 // The peer detects the restart (GR negotiated ⇒ retain).
                 self.drive(&mut layer, now, peer, node, FsmInput::PeerRestart, out);
                 // Restart completes after `restart`, then reconnect.
@@ -1424,7 +1465,7 @@ mod tests {
         let mut s = Standalone::new(&topo, BgpTimingConfig::instant(), &rng);
         let pre = p("184.164.244.0/24");
         s.announce(leaf, pre, OriginConfig::plain());
-        s.run_to_idle(100_000);
+        s.run_to_idle(100_000).expect_within_budget("converge");
         s.withdraw(leaf, pre);
         assert_eq!(s.run_to_idle(100_000), StepOutcome::Idle);
         for n in [t1, mid, leaf, leaf2] {
@@ -1452,12 +1493,12 @@ mod tests {
         let pre = p("184.164.244.0/24");
         s.announce(la, pre, OriginConfig::plain());
         s.announce(lb, pre, OriginConfig::plain());
-        s.run_to_idle(100_000);
+        s.run_to_idle(100_000).expect_within_budget("converge");
         assert_eq!(s.sim().best(a, &pre).unwrap().attrs.origin, la);
         assert_eq!(s.sim().best(b, &pre).unwrap().attrs.origin, lb);
         // Withdraw one origin: both tier-1s converge to the survivor.
         s.withdraw(la, pre);
-        s.run_to_idle(100_000);
+        s.run_to_idle(100_000).expect_within_budget("converge");
         assert_eq!(s.sim().best(a, &pre).unwrap().attrs.origin, lb);
         assert_eq!(s.sim().best(b, &pre).unwrap().attrs.origin, lb);
         assert!(
@@ -1486,7 +1527,7 @@ mod tests {
         let mut s = Standalone::new(&t, BgpTimingConfig::instant(), &rng);
         let pre = p("184.164.244.0/24");
         s.announce(origin, pre, OriginConfig::plain());
-        s.run_to_idle(100_000);
+        s.run_to_idle(100_000).expect_within_budget("converge");
         // t1b and t1c both learn via t1a directly (valley-free: they cannot
         // relay to each other).
         assert_eq!(s.sim().best(t1b, &pre).unwrap().from, Some(t1a));
@@ -1507,12 +1548,12 @@ mod tests {
         let covering = p("184.164.244.0/23");
         s.announce(leaf, specific, OriginConfig::plain());
         s.announce(leaf2, covering, OriginConfig::plain());
-        s.run_to_idle(100_000);
+        s.run_to_idle(100_000).expect_within_budget("converge");
         let addr = specific.addr_at(10);
         let (matched, _) = s.sim().fib_lookup(t1, addr).unwrap();
         assert_eq!(matched, specific);
         s.withdraw(leaf, specific);
-        s.run_to_idle(100_000);
+        s.run_to_idle(100_000).expect_within_budget("converge");
         let (matched, nh) = s.sim().fib_lookup(t1, addr).unwrap();
         assert_eq!(matched, covering);
         assert_eq!(nh, NextHop::Via(leaf2));
@@ -1526,11 +1567,11 @@ mod tests {
         s.sim_mut().set_record_history(true);
         let pre = p("184.164.244.0/24");
         s.announce(leaf, pre, OriginConfig::plain());
-        s.run_to_idle(100_000);
+        s.run_to_idle(100_000).expect_within_budget("converge");
         let announces = s.sim().history().len();
         assert!(announces >= 4, "each node's first best counts: {announces}");
         s.withdraw(leaf, pre);
-        s.run_to_idle(100_000);
+        s.run_to_idle(100_000).expect_within_budget("converge");
         let hist = s.sim_mut().take_history();
         assert!(hist.iter().any(|rc| rc.is_withdrawal() && rc.node == leaf2));
         // Times are monotone.
@@ -1549,9 +1590,9 @@ mod tests {
             s.sim_mut().set_record_history(true);
             let pre = p("184.164.244.0/24");
             s.announce(NodeId(2), pre, OriginConfig::plain());
-            s.run_to_idle(1_000_000);
+            s.run_to_idle(1_000_000).expect_within_budget("converge");
             s.withdraw(NodeId(2), pre);
-            s.run_to_idle(1_000_000);
+            s.run_to_idle(1_000_000).expect_within_budget("converge");
             (s.sim().stats(), s.now(), s.sim().history().len())
         };
         assert_eq!(run(), run());
@@ -1566,7 +1607,7 @@ mod tests {
         let mut s = Standalone::new(&topo, BgpTimingConfig::instant(), &rng);
         let pre = p("184.164.244.0/24");
         s.announce(leaf, pre, OriginConfig::plain().with_no_export());
-        s.run_to_idle(100_000);
+        s.run_to_idle(100_000).expect_within_budget("converge");
         assert_eq!(
             s.sim().fib_lookup(mid, pre.addr_at(1)).unwrap().1,
             NextHop::Via(leaf),
@@ -1585,7 +1626,7 @@ mod tests {
         let rng = RngFactory::new(1);
         let mut s = Standalone::new(&topo, BgpTimingConfig::instant(), &rng);
         s.announce(NodeId(2), p("184.164.244.0/24"), OriginConfig::plain());
-        s.run_to_idle(100_000);
+        s.run_to_idle(100_000).expect_within_budget("converge");
         let stats = s.sim().stats();
         assert!(stats.messages >= 3);
         assert!(stats.best_changes >= 3);
@@ -1611,7 +1652,7 @@ mod tests {
         let mut a = Standalone::new(&topo, BgpTimingConfig::instant(), &rng);
         let pre = p("184.164.244.0/24");
         a.announce(leaf, pre, OriginConfig::plain());
-        a.run_to_idle(1_000_000);
+        a.run_to_idle(1_000_000).expect_within_budget("converge");
 
         let (m, ..) = ml_converged();
         for n in [t1, mid, leaf, leaf2] {
@@ -1658,7 +1699,7 @@ mod tests {
         let (mut s, t1, mid, _leaf, _leaf2, pre) = ml_converged();
         // t1's side of the (mid, t1) session silently loses its state.
         s.half_open(mid, t1);
-        s.run_until_secs(1);
+        s.run_until_secs(1).expect_within_budget("run to deadline");
         // Phase 1: t1 purged instantly; mid still believes the session is
         // up and keeps its state.
         assert!(s.sim().best(t1, &pre).is_none(), "peer purges immediately");
@@ -1698,7 +1739,7 @@ mod tests {
         let (mut s, t1, mid, _leaf, leaf2, pre) = ml_converged();
         s.fail_link(t1, mid);
         // Before the hold timer: sessions still Established, routes kept.
-        s.run_until_secs(1);
+        s.run_until_secs(1).expect_within_budget("run to deadline");
         assert!(s.sim().best(t1, &pre).is_some());
         assert!(!s.sim().link_is_up(t1, mid));
         // Hold expires: both sides purge; t1 and leaf2 lose the route.
@@ -1722,11 +1763,11 @@ mod tests {
             s.enable_message_level();
             let pre = p("184.164.244.0/24");
             s.announce(leaf, pre, OriginConfig::plain());
-            s.run_to_idle(1_000_000);
+            s.run_to_idle(1_000_000).expect_within_budget("converge");
             s.notify_reset(t1, mid, 6);
-            s.run_to_idle(1_000_000);
+            s.run_to_idle(1_000_000).expect_within_budget("converge");
             s.graceful_restart(mid, SimDuration::from_secs(5));
-            s.run_to_idle(1_000_000);
+            s.run_to_idle(1_000_000).expect_within_budget("converge");
             (s.sim().stats(), s.now(), s.sim().history().len())
         };
         assert_eq!(run(), run());

@@ -43,7 +43,7 @@ fn flapping_route_gets_suppressed_and_reused() {
     // (deterministic tie-break on equal pref/length).
     s.announce(a, pre, OriginConfig::plain());
     s.announce(b, pre, OriginConfig::plain());
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     assert_eq!(
         s.sim().best(receiver, &pre).unwrap().from,
         Some(flappy),
@@ -52,11 +52,11 @@ fn flapping_route_gets_suppressed_and_reused() {
     // Origin A flaps three times in quick succession.
     for _ in 0..3 {
         s.withdraw(a, pre);
-        s.run_until_secs(5);
+        s.run_until_secs(5).expect_within_budget("run to deadline");
         s.announce(a, pre, OriginConfig::plain());
-        s.run_until_secs(5);
+        s.run_until_secs(5).expect_within_budget("run to deadline");
     }
-    s.run_until_secs(60);
+    s.run_until_secs(60).expect_within_budget("run to deadline");
     // The flapped route is suppressed: receiver uses the steady path even
     // though the flappy one is present and would otherwise win.
     assert_eq!(
@@ -65,7 +65,7 @@ fn flapping_route_gets_suppressed_and_reused() {
         "suppression must move traffic to the steady provider"
     );
     // After the penalty decays (~tens of minutes), the route returns.
-    s.run_to_idle(10_000_000);
+    s.run_to_idle(10_000_000).expect_within_budget("converge");
     assert_eq!(
         s.sim().best(receiver, &pre).unwrap().from,
         Some(flappy),
@@ -81,14 +81,14 @@ fn damping_off_by_default_means_no_suppression() {
     let pre = p("184.164.244.0/24");
     s.announce(a, pre, OriginConfig::plain());
     s.announce(b, pre, OriginConfig::plain());
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     for _ in 0..5 {
         s.withdraw(a, pre);
-        s.run_until_secs(2);
+        s.run_until_secs(2).expect_within_budget("run to deadline");
         s.announce(a, pre, OriginConfig::plain());
-        s.run_until_secs(2);
+        s.run_until_secs(2).expect_within_budget("run to deadline");
     }
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     assert_eq!(
         s.sim().best(receiver, &pre).unwrap().from,
         Some(flappy),

@@ -101,9 +101,11 @@ proptest! {
             let mut sim = Standalone::new(&topo, BgpTimingConfig::default(), &rng);
             sim.announce(sites[0], prefix(), OriginConfig::plain());
             sim.announce(sites[1], prefix(), OriginConfig::prepended(3));
-            sim.run_to_idle(20_000_000);
+            sim.run_to_idle(20_000_000)
+.expect_within_budget("converge");
             sim.withdraw(sites[0], prefix());
-            sim.run_to_idle(20_000_000);
+            sim.run_to_idle(20_000_000)
+.expect_within_budget("converge");
             let bests: Vec<_> = topo
                 .ids()
                 .map(|id| sim.sim().best(id, &prefix()).cloned())
@@ -123,7 +125,8 @@ proptest! {
         for &s in &sites {
             sim.announce(s, prefix(), OriginConfig::plain());
         }
-        sim.run_to_idle(20_000_000);
+        sim.run_to_idle(20_000_000)
+.expect_within_budget("converge");
         for id in topo.ids() {
             let asn = topo.node(id).asn;
             match sim.sim().best(id, &prefix()) {
@@ -158,7 +161,8 @@ proptest! {
             for &s in &sites[..3] {
                 sim.announce(s, prefix(), OriginConfig::plain());
             }
-            sim.run_to_idle(20_000_000);
+            sim.run_to_idle(20_000_000)
+.expect_within_budget("converge");
             topo.ids()
                 .map(|id| sim.sim().best(id, &prefix()).map(|s| s.attrs.origin))
                 .collect::<Vec<_>>()
@@ -179,14 +183,16 @@ proptest! {
         for &s in &sites {
             sim.announce(s, prefix(), OriginConfig::plain());
         }
-        sim.run_to_idle(20_000_000);
+        sim.run_to_idle(20_000_000)
+.expect_within_budget("converge");
         let before: Vec<_> = topo
             .ids()
             .map(|id| sim.sim().best(id, &prefix()).map(|s| s.attrs.origin))
             .collect();
         let failed = sites[0];
         sim.withdraw(failed, prefix());
-        sim.run_to_idle(20_000_000);
+        sim.run_to_idle(20_000_000)
+.expect_within_budget("converge");
         for id in topo.ids() {
             let after = sim.sim().best(id, &prefix()).map(|s| s.attrs.origin);
             let prior = before[id.index()];

@@ -46,14 +46,15 @@ fn silent_failure_holds_routes_until_hold_expiry() {
     let mut s = Standalone::new(&topo, timing(90.0), &rng);
     let pre = p("184.164.244.0/24");
     s.announce(origin, pre, OriginConfig::plain());
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     assert_eq!(s.sim().best(p1, &pre).unwrap().from, Some(origin));
 
     // The origin-p1 link dies silently. No withdrawal is sent: p1 keeps
     // the stale route through the hold window.
     s.fail_link(origin, p1);
     let t_fail = s.now();
-    s.run_until(t_fail + SimDuration::from_secs(60), 1_000_000);
+    s.run_until(t_fail + SimDuration::from_secs(60), 1_000_000)
+        .expect_within_budget("run to deadline");
     assert_eq!(
         s.sim().best(p1, &pre).unwrap().from,
         Some(origin),
@@ -64,7 +65,7 @@ fn silent_failure_holds_routes_until_hold_expiry() {
 
     // After the hold timer (90 s), p1 purges and falls back to the path
     // via its provider t1 -> p2 -> origin.
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     let best = s.sim().best(p1, &pre).unwrap();
     assert_eq!(best.from, Some(t1));
     assert_eq!(best.attrs.origin, origin);
@@ -80,7 +81,7 @@ fn messages_on_failed_link_are_lost() {
     // Fail the link BEFORE announcing: p1 never hears the origin directly.
     s.fail_link(origin, p1);
     s.announce(origin, pre, OriginConfig::plain());
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     let best = s.sim().best(p1, &pre).expect("route via t1 survives");
     assert_ne!(best.from, Some(origin));
     // p2 heard it directly.
@@ -94,15 +95,15 @@ fn restore_resends_full_table() {
     let mut s = Standalone::new(&topo, timing(90.0), &rng);
     let pre = p("184.164.244.0/24");
     s.announce(origin, pre, OriginConfig::plain());
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     s.fail_link(origin, p1);
-    s.run_to_idle(1_000_000); // hold expires, p1 reroutes via t1
+    s.run_to_idle(1_000_000).expect_within_budget("converge"); // hold expires, p1 reroutes via t1
     assert_ne!(s.sim().best(p1, &pre).unwrap().from, Some(origin));
 
     // Link comes back: session re-establishes, full table re-exchanged,
     // p1 prefers its direct customer route again.
     s.restore_link(origin, p1);
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     assert!(s.sim().link_is_up(origin, p1));
     assert_eq!(s.sim().best(p1, &pre).unwrap().from, Some(origin));
 }
@@ -114,13 +115,14 @@ fn hold_expiry_noop_if_restored_in_time() {
     let mut s = Standalone::new(&topo, timing(90.0), &rng);
     let pre = p("184.164.244.0/24");
     s.announce(origin, pre, OriginConfig::plain());
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     s.fail_link(origin, p1);
     let t_fail = s.now();
     // Flap: restore before the hold timer fires.
-    s.run_until(t_fail + SimDuration::from_secs(30), 1_000_000);
+    s.run_until(t_fail + SimDuration::from_secs(30), 1_000_000)
+        .expect_within_budget("run to deadline");
     s.restore_link(origin, p1);
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     // The pending HoldExpire events fired as no-ops; the direct route wins.
     assert_eq!(s.sim().best(p1, &pre).unwrap().from, Some(origin));
 }
@@ -134,10 +136,10 @@ fn short_hold_time_converges_fast() {
     let mut s = Standalone::new(&topo, timing(0.3), &rng);
     let pre = p("184.164.244.0/24");
     s.announce(origin, pre, OriginConfig::plain());
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     let t_fail = s.now();
     s.fail_link(origin, p1);
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     assert_eq!(s.sim().best(p1, &pre).unwrap().from, Some(t1));
     assert!(
         s.now().since(t_fail) < SimDuration::from_secs(5),
@@ -153,10 +155,10 @@ fn whole_site_crash_isolates_until_hold() {
     let mut s = Standalone::new(&topo, timing(90.0), &rng);
     let pre = p("184.164.244.0/24");
     s.announce(origin, pre, OriginConfig::plain());
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     // Crash all of the origin's links at once.
     s.fail_all_links(origin, &[p1, p2]);
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     for n in [t1, p1, p2] {
         assert!(
             s.sim().best(n, &pre).is_none(),
@@ -172,7 +174,7 @@ fn double_link_failure_is_idempotent() {
     let mut s = Standalone::new(&topo, timing(90.0), &rng);
     let pre = p("184.164.244.0/24");
     s.announce(origin, pre, OriginConfig::plain());
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
 
     // First failure arms one hold timer per link end.
     s.fail_link(origin, p1);
@@ -188,14 +190,18 @@ fn double_link_failure_is_idempotent() {
         "re-failing a dead link must not schedule duplicate HoldExpire events"
     );
 
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
     let single = {
         let rng = RngFactory::new(1);
         let mut reference = Standalone::new(&topo, timing(90.0), &rng);
         reference.announce(origin, pre, OriginConfig::plain());
-        reference.run_to_idle(1_000_000);
+        reference
+            .run_to_idle(1_000_000)
+            .expect_within_budget("converge");
         reference.fail_link(origin, p1);
-        reference.run_to_idle(1_000_000);
+        reference
+            .run_to_idle(1_000_000)
+            .expect_within_budget("converge");
         reference
     };
     assert_eq!(
@@ -214,7 +220,7 @@ fn double_site_crash_is_idempotent() {
     let mut s = Standalone::new(&topo, timing(90.0), &rng);
     let pre = p("184.164.244.0/24");
     s.announce(origin, pre, OriginConfig::plain());
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
 
     s.fail_all_links(origin, &[p1, p2]);
     let armed = s.pending_events();
@@ -225,7 +231,8 @@ fn double_site_crash_is_idempotent() {
     // A partial overlap is also handled per-session: only the link that is
     // still up arms new timers.
     s.restore_link(origin, p1);
-    s.run_until(s.now() + SimDuration::from_secs(1), 1_000_000);
+    s.run_until(s.now() + SimDuration::from_secs(1), 1_000_000)
+        .expect_within_budget("run to deadline");
     let before = s.pending_events();
     s.fail_all_links(origin, &[p1, p2]);
     assert_eq!(
@@ -246,7 +253,7 @@ fn overlapping_link_failure_and_site_crash_is_idempotent() {
     let mut s = Standalone::new(&topo, timing(90.0), &rng);
     let pre = p("184.164.244.0/24");
     s.announce(origin, pre, OriginConfig::plain());
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
 
     s.fail_link(origin, p1);
     let armed = s.pending_events();
@@ -257,15 +264,19 @@ fn overlapping_link_failure_and_site_crash_is_idempotent() {
         armed + 2,
         "the crash arms timers only on the still-alive link"
     );
-    s.run_to_idle(1_000_000);
+    s.run_to_idle(1_000_000).expect_within_budget("converge");
 
     let direct = {
         let rng = RngFactory::new(1);
         let mut reference = Standalone::new(&topo, timing(90.0), &rng);
         reference.announce(origin, pre, OriginConfig::plain());
-        reference.run_to_idle(1_000_000);
+        reference
+            .run_to_idle(1_000_000)
+            .expect_within_budget("converge");
         reference.fail_all_links(origin, &[p1, p2]);
-        reference.run_to_idle(1_000_000);
+        reference
+            .run_to_idle(1_000_000)
+            .expect_within_budget("converge");
         reference
     };
     for n in [NodeId(0), NodeId(1), NodeId(2), NodeId(3)] {
@@ -290,19 +301,27 @@ fn flap_sequence_restores_full_rib_equivalence() {
     let rng = RngFactory::new(1);
     let mut flapped = Standalone::new(&topo, timing(90.0), &rng);
     flapped.announce(origin, pre, OriginConfig::plain());
-    flapped.run_to_idle(1_000_000);
+    flapped
+        .run_to_idle(1_000_000)
+        .expect_within_budget("converge");
     for _ in 0..3 {
         flapped.withdraw(origin, pre);
-        flapped.run_until(flapped.now() + SimDuration::from_secs(5), 1_000_000);
+        flapped
+            .run_until(flapped.now() + SimDuration::from_secs(5), 1_000_000)
+            .expect_within_budget("run to deadline");
         flapped.announce(origin, pre, OriginConfig::plain());
-        flapped.run_until(flapped.now() + SimDuration::from_secs(25), 1_000_000);
+        flapped
+            .run_until(flapped.now() + SimDuration::from_secs(25), 1_000_000)
+            .expect_within_budget("run to deadline");
     }
-    flapped.run_to_idle(1_000_000);
+    flapped
+        .run_to_idle(1_000_000)
+        .expect_within_budget("converge");
 
     let rng = RngFactory::new(1);
     let mut calm = Standalone::new(&topo, timing(90.0), &rng);
     calm.announce(origin, pre, OriginConfig::plain());
-    calm.run_to_idle(1_000_000);
+    calm.run_to_idle(1_000_000).expect_within_budget("converge");
 
     assert_eq!(flapped.pending_events(), 0, "flap left timers armed");
     for n in [t1, p1, p2, origin] {

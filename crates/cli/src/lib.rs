@@ -710,7 +710,8 @@ fn cmd_catchment(opts: &Options) -> Result<String, String> {
             for &s in tb.cdn.site_nodes() {
                 sim.announce(s, prefix, OriginConfig::plain());
             }
-            sim.run_to_idle(tb.cfg.max_events);
+            sim.run_to_idle(tb.cfg.max_events)
+                .within_budget("converge")?;
             let env = ForwardEnv {
                 topo: &tb.topo,
                 bgp: sim.sim(),
@@ -772,7 +773,8 @@ fn converged_world(opts: &Options) -> Result<(Testbed, Standalone), String> {
             sim.announce(tb.cdn.node(site), plan.specific, OriginConfig::prepended(3));
         }
     }
-    sim.run_to_idle(tb.cfg.max_events);
+    sim.run_to_idle(tb.cfg.max_events)
+        .within_budget("converge")?;
     Ok((tb, sim))
 }
 

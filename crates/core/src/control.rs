@@ -7,7 +7,7 @@
 //! can trivially be steered by any technique — §5.1.)
 
 use bobw_bgp::{OriginConfig, Standalone};
-use bobw_dataplane::{catchment, rtt_to_site, ForwardEnv};
+use bobw_dataplane::{ForwardEnv, Resolver};
 use bobw_event::SimDuration;
 use bobw_net::NodeId;
 use bobw_topology::SiteId;
@@ -39,12 +39,24 @@ pub fn measure_control(testbed: &Testbed, site: SiteId, prepend_counts: &[u8]) -
 /// [`measure_control`] plus the cell's perf counters (event count, peak
 /// queue depth, wall time) — the control-cell analogue of
 /// `run_failover_instrumented`, so Table 1 cells show up in `PerfLog` and
-/// can be dispatched to distributed workers.
+/// can be dispatched to distributed workers. Panics where
+/// [`try_measure_control_instrumented`] returns an error.
 pub fn measure_control_instrumented(
     testbed: &Testbed,
     site: SiteId,
     prepend_counts: &[u8],
 ) -> (ControlResult, CellPerf) {
+    try_measure_control_instrumented(testbed, site, prepend_counts)
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`measure_control_instrumented`] that reports a convergence exhausting
+/// `max_events` as an error naming the phase instead of panicking.
+pub fn try_measure_control_instrumented(
+    testbed: &Testbed,
+    site: SiteId,
+    prepend_counts: &[u8],
+) -> Result<(ControlResult, CellPerf), String> {
     let wall_start = std::time::Instant::now();
     let cfg = &testbed.cfg;
     let topo = &testbed.topo;
@@ -64,24 +76,26 @@ pub fn measure_control_instrumented(
     for s in cdn.sites() {
         sim.announce(cdn.node(s), plan.anycast_probe, OriginConfig::plain());
     }
-    sim.run_to_idle(cfg.max_events);
+    sim.run_to_idle(cfg.max_events)
+        .within_budget("control: measurement prefixes converge")?;
 
     // Near clients and their anycast catchment.
+    let mut resolver = Resolver::new();
     let max_rtt = SimDuration::from_secs_f64(cfg.proximity_ms / 1000.0);
     let (near, not_anycast): (Vec<NodeId>, Vec<NodeId>) = {
-        let env = ForwardEnv {
+        let mut res = resolver.at(ForwardEnv {
             topo,
             bgp: sim.sim(),
             down: &[],
-        };
+        });
         let near: Vec<NodeId> = topo
             .client_nodes()
-            .filter(|c| matches!(rtt_to_site(&env, *c, plan.rtt_addr()), Some(r) if r <= max_rtt))
+            .filter(|c| matches!(res.rtt(*c, plan.rtt_addr()), Some(r) if r <= max_rtt))
             .collect();
         let not_anycast = near
             .iter()
             .copied()
-            .filter(|c| catchment(&env, cdn, *c, plan.anycast_addr()) != Some(site))
+            .filter(|c| res.site(cdn, *c, plan.anycast_addr()) != Some(site))
             .collect();
         (near, not_anycast)
     };
@@ -103,19 +117,20 @@ pub fn measure_control_instrumented(
         for a in t.before(plan, topo, cdn, site) {
             sim.announce(a.node, a.prefix, a.cfg);
         }
-        sim.run_to_idle(cfg.max_events);
+        sim.run_to_idle(cfg.max_events)
+            .within_budget(&format!("control: prepend-{k} converge"))?;
         let frac = {
-            let env = ForwardEnv {
+            let mut res = resolver.at(ForwardEnv {
                 topo,
                 bgp: sim.sim(),
                 down: &[],
-            };
+            });
             if not_anycast.is_empty() {
                 0.0
             } else {
                 not_anycast
                     .iter()
-                    .filter(|c| catchment(&env, cdn, **c, plan.probe_addr()) == Some(site))
+                    .filter(|c| res.site(cdn, **c, plan.probe_addr()) == Some(site))
                     .count() as f64
                     / not_anycast.len() as f64
             }
@@ -137,7 +152,7 @@ pub fn measure_control_instrumented(
         queue_capacity: sim.queue_capacity(),
         wall_micros: wall_start.elapsed().as_micros() as u64,
     };
-    (result, perf)
+    Ok((result, perf))
 }
 
 #[cfg(test)]

@@ -95,7 +95,8 @@ pub fn analyze_divergence(testbed: &Testbed, site: SiteId, prepends: u8) -> Dive
     for a in t.before(plan, topo, cdn, site) {
         sim.announce(a.node, a.prefix, a.cfg);
     }
-    sim.run_to_idle(cfg.max_events);
+    sim.run_to_idle(cfg.max_events)
+        .expect_within_budget("divergence: announce and converge");
 
     let targets = select_targets(
         topo,

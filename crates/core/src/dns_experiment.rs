@@ -18,7 +18,7 @@
 //! client holds a fresh record.
 
 use bobw_bgp::{BgpEvent, BgpSim, OriginConfig};
-use bobw_dataplane::{walk, ForwardEnv, ProbeLog, ProbeOutcome, ProbeRecord};
+use bobw_dataplane::{ForwardEnv, ProbeLog, ProbeOutcome, ProbeRecord, Resolver};
 use bobw_dns::{Authoritative, RecursiveResolver};
 use bobw_event::rng::lognormal;
 use bobw_event::{Engine, Handler, Scheduler, SimDuration, SimTime};
@@ -80,10 +80,6 @@ enum SimEvent {
     AttemptRound(u32),
 }
 
-/// One memoized connection walk: (BGP state version, down-set epoch,
-/// resolved address, reached site).
-type WalkMemo = (u64, u64, u32, Option<SiteId>);
-
 struct DnsRun<'a> {
     topo: &'a Topology,
     cdn: &'a CdnDeployment,
@@ -96,12 +92,10 @@ struct DnsRun<'a> {
     failed_node: NodeId,
     log: ProbeLog,
     scratch: Vec<(SimDuration, BgpEvent)>,
-    /// Per-target memo of the last connection walk, keyed by (BGP state
-    /// version, down-set epoch, resolved address); see the probe memo in
-    /// `experiment.rs`. DNS answers change rarely (TTL scale) and routing
-    /// is static between events, so most attempt rounds reuse the walk.
-    walk_memo: Vec<Option<WalkMemo>>,
-    down_epoch: u64,
+    /// Connection outcomes per resolved address. DNS answers change
+    /// rarely (TTL scale) and a routing change re-walks only the addresses
+    /// it covers, so most attempt rounds are memo reads.
+    resolver: Resolver,
 }
 
 impl Handler<SimEvent> for DnsRun<'_> {
@@ -115,7 +109,6 @@ impl Handler<SimEvent> for DnsRun<'_> {
             }
             SimEvent::FailSite => {
                 self.down.push(self.failed_node);
-                self.down_epoch += 1;
                 for prefix in self.bgp.node(self.failed_node).originated_prefixes() {
                     self.bgp
                         .withdraw(now, self.failed_node, prefix, &mut self.scratch);
@@ -130,48 +123,24 @@ impl Handler<SimEvent> for DnsRun<'_> {
                 self.auth.mark_failed(self.failed);
             }
             SimEvent::AttemptRound(seq) => {
-                let mut outcomes = Vec::with_capacity(self.targets.len());
-                if self.walk_memo.len() < self.targets.len() {
-                    self.walk_memo.resize(self.targets.len(), None);
-                }
-                let version = self.bgp.state_version();
-                {
-                    let env = ForwardEnv {
-                        topo: self.topo,
-                        bgp: &self.bgp,
-                        down: &self.down,
+                let mut res = self.resolver.at(ForwardEnv {
+                    topo: self.topo,
+                    bgp: &self.bgp,
+                    down: &self.down,
+                });
+                for (i, &target) in self.targets.iter().enumerate() {
+                    let site = self.resolvers[i]
+                        .query(&self.auth, now)
+                        .and_then(|(answer, _)| res.site(self.cdn, target, answer.addr));
+                    let outcome = match site {
+                        Some(site) => ProbeOutcome::Received {
+                            site,
+                            // Connection success observed a round trip
+                            // later; negligible against DNS time scales.
+                            at: now,
+                        },
+                        None => ProbeOutcome::Lost,
                     };
-                    for (i, &target) in self.targets.iter().enumerate() {
-                        let outcome = match self.resolvers[i].query(&self.auth, now) {
-                            Some((answer, _)) => {
-                                let key = (version, self.down_epoch, answer.addr);
-                                let site = match self.walk_memo[i] {
-                                    Some((v, e, d, cached)) if (v, e, d) == key => cached,
-                                    _ => {
-                                        let s = walk(&env, target, answer.addr)
-                                            .delivered_to()
-                                            .and_then(|node| self.cdn.site_at(node));
-                                        self.walk_memo[i] = Some((key.0, key.1, key.2, s));
-                                        s
-                                    }
-                                };
-                                match site {
-                                    Some(site) => ProbeOutcome::Received {
-                                        site,
-                                        // Connection success observed a
-                                        // round trip later; negligible
-                                        // against DNS time scales.
-                                        at: now,
-                                    },
-                                    None => ProbeOutcome::Lost,
-                                }
-                            }
-                            None => ProbeOutcome::Lost,
-                        };
-                        outcomes.push(outcome);
-                    }
-                }
-                for (i, outcome) in outcomes.into_iter().enumerate() {
                     self.log.push(
                         i,
                         ProbeRecord {
@@ -188,12 +157,23 @@ impl Handler<SimEvent> for DnsRun<'_> {
 
 /// Runs the pure-unicast failover experiment for `failed`, returning a
 /// [`FailoverResult`] comparable with [`crate::experiment::run_failover`]'s
-/// output (technique name `"unicast-dns"`).
+/// output (technique name `"unicast-dns"`). Panics where
+/// [`try_run_unicast_dns_failover`] returns an error.
 pub fn run_unicast_dns_failover(
     testbed: &Testbed,
     failed: SiteId,
     dns: &DnsClientConfig,
 ) -> FailoverResult {
+    try_run_unicast_dns_failover(testbed, failed, dns).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`run_unicast_dns_failover`] that reports a phase exhausting
+/// `max_events` as an error naming the phase instead of panicking.
+pub fn try_run_unicast_dns_failover(
+    testbed: &Testbed,
+    failed: SiteId,
+    dns: &DnsClientConfig,
+) -> Result<FailoverResult, String> {
     let cfg = &testbed.cfg;
     let topo = &testbed.topo;
     let cdn = &testbed.cdn;
@@ -217,8 +197,7 @@ pub fn run_unicast_dns_failover(
         failed_node,
         log: ProbeLog::new(0),
         scratch: Vec::with_capacity(64),
-        walk_memo: Vec::new(),
-        down_epoch: 0,
+        resolver: Resolver::new(),
     };
 
     // Phase 1: every site announces its own unicast /24 (plus the
@@ -250,7 +229,9 @@ pub fn run_unicast_dns_failover(
     for (d, e) in pending {
         engine.schedule_after(d, SimEvent::Bgp(e));
     }
-    engine.run_to_idle(&mut run, cfg.max_events);
+    engine
+        .run_to_idle(&mut run, cfg.max_events)
+        .within_budget("unicast-dns phase 1 (announce and converge)")?;
 
     // Phase 2: targets (≤50 ms of the failed site; the anycast criterion is
     // irrelevant to unicast control, so it is skipped) and their resolvers.
@@ -310,13 +291,15 @@ pub fn run_unicast_dns_failover(
             SimEvent::AttemptRound(k),
         );
     }
-    engine.run_until(&mut run, t_fail + dns.window, cfg.max_events);
+    engine
+        .run_until(&mut run, t_fail + dns.window, cfg.max_events)
+        .within_budget("unicast-dns phase 3 (failure and connection attempts)")?;
 
     let outcomes = (0..run.log.num_targets())
         .map(|i| analyze_target(run.log.for_target(i), t_fail))
         .collect::<Vec<_>>();
     testbed.note_peak_queue_depth(engine.peak_pending());
-    FailoverResult {
+    Ok(FailoverResult {
         technique: "unicast-dns".to_string(),
         site_name: cdn.name(failed).to_string(),
         failed_site: failed,
@@ -326,7 +309,7 @@ pub fn run_unicast_dns_failover(
         outcomes,
         t_fail,
         traffic: None,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -339,6 +322,16 @@ mod tests {
         let mut cfg = ExperimentConfig::quick(21);
         cfg.targets_per_site = 60;
         Testbed::new(cfg)
+    }
+
+    #[test]
+    fn exhausted_event_budget_fails_the_cell_naming_the_phase() {
+        let mut cfg = ExperimentConfig::quick(21);
+        cfg.max_events = 100;
+        let tb = Testbed::new(cfg);
+        let err = try_run_unicast_dns_failover(&tb, tb.site("bos"), &DnsClientConfig::default())
+            .expect_err("a 100-event budget cannot converge phase 1");
+        assert!(err.contains("unicast-dns phase 1"), "{err}");
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //! 5. extract per-target reconnection and failover times.
 
 use bobw_bgp::{BgpEvent, BgpSim, BgpTimingConfig};
-use bobw_dataplane::walk;
 use bobw_dataplane::{
-    probe_path, ForwardEnv, ProbeConfig, ProbeLog, ProbeOutcome, ProbeRecord, SiteCapture,
+    request_leg, ForwardEnv, ProbeConfig, ProbeLog, ProbeOutcome, ProbeRecord, Resolver,
+    SiteCapture,
 };
 use bobw_dns::Authoritative;
 use bobw_event::{Engine, Handler, RngFactory, Scheduler, SimDuration, SimTime};
-use bobw_net::NodeId;
+use bobw_net::{Ipv4Net, NodeId};
 use bobw_scenario::{compile as compile_scenario, FaultOp, Scenario};
 use bobw_topology::{generate, CdnDeployment, GenConfig, SiteId, Topology};
 use bobw_traffic::{Steering, Surge, TrafficConfig, TrafficSim, TrafficSummary};
@@ -348,7 +348,6 @@ struct Run<'a> {
     bgp: BgpSim,
     down: Vec<NodeId>,
     targets: Vec<NodeId>,
-    prober: NodeId,
     reactions: Vec<Action>,
     /// Every phase-1 advertisement; `Announce`/`SiteRestore` ops replay a
     /// node's subset of these.
@@ -366,18 +365,14 @@ struct Run<'a> {
     /// Fault ops an op application wants scheduled later (staged React
     /// rollouts); drained onto the event queue by the handler.
     pending_faults: Vec<(SimDuration, FaultOp)>,
-    /// Per-target memo of the last probe walk, keyed by (BGP state version,
-    /// down-set epoch, destination). The walk is a pure function of that
-    /// key, and routing is static between events, so consecutive probe
-    /// rounds over a converged network skip the hop-by-hop FIB walk.
-    probe_memo: Vec<Option<ProbeMemo>>,
-    /// Bumped whenever `down` changes; part of the memo key.
-    down_epoch: u64,
+    /// Forwarding outcomes shared by probe rounds, demand ticks and the
+    /// controllability filter; a routing change only re-walks the
+    /// destinations it touched.
+    resolver: Resolver,
+    /// Per target, the probe's request leg from the prober site (fixed
+    /// per cell).
+    request_legs: Vec<SimDuration>,
 }
-
-/// One memoized probe walk: key (version, epoch, dst) and the cached
-/// outcome — the answering site and total delay, or `None` for lost.
-type ProbeMemo = (u64, u64, u32, Option<(SiteId, SimDuration)>);
 
 impl Run<'_> {
     fn drain_bgp(&mut self, sched: &mut Scheduler<'_, SimEvent>) {
@@ -437,7 +432,6 @@ impl Run<'_> {
                 // The site dies: data plane drops everything arriving there.
                 if !self.down.contains(&node) {
                     self.down.push(node);
-                    self.down_epoch += 1;
                 }
                 if graceful {
                     // Its router withdraws all announcements (§4).
@@ -454,7 +448,6 @@ impl Run<'_> {
             }
             FaultOp::SiteRestore { node } => {
                 self.down.retain(|&n| n != node);
-                self.down_epoch += 1;
                 let peers: Vec<NodeId> = self.topo.neighbors(node).iter().map(|a| a.peer).collect();
                 for peer in peers {
                     self.bgp.restore_link(now, node, peer, &mut self.scratch);
@@ -532,7 +525,6 @@ impl Run<'_> {
                 // down, nothing left to withdraw.
                 if !self.down.contains(&node) {
                     self.down.push(node);
-                    self.down_epoch += 1;
                 }
                 self.mark_site(node, true);
             }
@@ -628,60 +620,25 @@ impl Handler<SimEvent> for Run<'_> {
                 }
             }
             SimEvent::ProbeRound(seq) => {
-                let mut outcomes = Vec::with_capacity(self.targets.len());
-                if self.probe_memo.len() < self.targets.len() {
-                    self.probe_memo.resize(self.targets.len(), None);
-                }
-                let version = self.bgp.state_version();
-                {
-                    let env = ForwardEnv {
-                        topo: self.topo,
-                        bgp: &self.bgp,
-                        down: &self.down,
-                    };
-                    for (i, &target) in self.targets.iter().enumerate() {
-                        // A de-steered target connects to the address its
-                        // fresh DNS answer names; everyone else to the
-                        // technique's probe address.
-                        let dst = match &self.drain {
-                            Some(d) if d.resolve_at[i].is_some_and(|t| now >= t) => {
-                                d.auth.resolve(target, now).map(|answer| answer.addr)
-                            }
-                            _ => Some(self.plan.probe_addr()),
-                        };
-                        outcomes.push(match dst {
-                            Some(dst) => {
-                                let key = (version, self.down_epoch, dst);
-                                let path = match self.probe_memo[i] {
-                                    Some((v, e, d, p)) if (v, e, d) == key => p,
-                                    _ => {
-                                        let p = probe_path(
-                                            &env,
-                                            self.cdn,
-                                            self.topo,
-                                            self.prober,
-                                            target,
-                                            dst,
-                                        );
-                                        self.probe_memo[i] = Some((key.0, key.1, key.2, p));
-                                        p
-                                    }
-                                };
-                                match path {
-                                    Some((site, delay)) => ProbeOutcome::Received {
-                                        site,
-                                        at: now + delay,
-                                    },
-                                    None => ProbeOutcome::Lost,
-                                }
-                            }
-                            // Every candidate site is failed: no answer,
-                            // nowhere to connect.
-                            None => ProbeOutcome::Lost,
-                        });
-                    }
-                }
-                for (i, outcome) in outcomes.into_iter().enumerate() {
+                let mut res = self.resolver.at(ForwardEnv {
+                    topo: self.topo,
+                    bgp: &self.bgp,
+                    down: &self.down,
+                });
+                for (i, &target) in self.targets.iter().enumerate() {
+                    let dst = probe_dst(&self.drain, self.plan, i, target, now);
+                    // The reply is routed from the target toward `dst`;
+                    // delivery to a non-site origin counts as lost.
+                    let outcome = dst
+                        .and_then(|dst| res.reach(target, dst))
+                        .and_then(|r| {
+                            let site = self.cdn.site_at(r.node)?;
+                            Some(ProbeOutcome::Received {
+                                site,
+                                at: now + (self.request_legs[i] + r.latency),
+                            })
+                        })
+                        .unwrap_or(ProbeOutcome::Lost);
                     if let ProbeOutcome::Received { site, at } = outcome {
                         self.capture.record(site, at, i as u32, seq);
                     }
@@ -694,10 +651,12 @@ impl Handler<SimEvent> for Run<'_> {
                         },
                     );
                 }
+                #[cfg(test)]
+                self.audit_resolver(now);
             }
             SimEvent::TrafficTick => {
                 // Strictly observational: reads the FIBs through the same
-                // ForwardEnv the prober uses, mutates only traffic state.
+                // resolver the prober uses, mutates only traffic state.
                 let Run {
                     traffic,
                     topo,
@@ -707,16 +666,80 @@ impl Handler<SimEvent> for Run<'_> {
                     plan,
                     rng,
                     t_fail,
+                    resolver,
                     ..
                 } = self;
                 if let Some(tr) = traffic {
-                    let env = ForwardEnv { topo, bgp, down };
-                    tr.on_tick(now, *t_fail, rng, |client| {
-                        walk(&env, client, plan.probe_addr())
-                            .delivered_to()
-                            .and_then(|n| cdn.site_at(n))
-                    });
+                    let mut res = resolver.at(ForwardEnv { topo, bgp, down });
+                    let dst = plan.probe_addr();
+                    tr.on_tick(now, *t_fail, rng, |client| res.site(cdn, client, dst));
                 }
+            }
+        }
+    }
+}
+
+/// The address target `i` connects to at `now`. A de-steered target
+/// connects to the address its fresh DNS answer names; everyone else to the
+/// technique's probe address. `None`: every candidate site is failed, so
+/// there is nowhere to connect.
+fn probe_dst(
+    drain: &Option<DrainState>,
+    plan: &AddressPlan,
+    i: usize,
+    target: NodeId,
+    now: SimTime,
+) -> Option<Ipv4Net> {
+    match drain {
+        Some(d) if d.resolve_at[i].is_some_and(|t| now >= t) => {
+            d.auth.resolve(target, now).map(|answer| answer.addr)
+        }
+        _ => Some(plan.probe_addr()),
+    }
+}
+
+#[cfg(test)]
+impl Run<'_> {
+    /// Differential check run after every probe round in tests: for every
+    /// destination probed this round, the resolver's answer for *every*
+    /// node must equal a fresh [`walk`](bobw_dataplane::walk).
+    fn audit_resolver(&mut self, now: SimTime) {
+        use bobw_dataplane::{walk, Delivery, Reach};
+        let mut dsts: Vec<Ipv4Net> = (0..self.targets.len())
+            .filter_map(|i| probe_dst(&self.drain, self.plan, i, self.targets[i], now))
+            .collect();
+        dsts.sort_unstable();
+        dsts.dedup();
+        let env = ForwardEnv {
+            topo: self.topo,
+            bgp: &self.bgp,
+            down: &self.down,
+        };
+        let mut res = self.resolver.at(ForwardEnv {
+            topo: self.topo,
+            bgp: &self.bgp,
+            down: &self.down,
+        });
+        for dst in dsts {
+            for n in self.topo.ids() {
+                let want = match walk(&env, n, dst) {
+                    Delivery::Delivered {
+                        node,
+                        hops,
+                        latency,
+                    } => Some(Reach {
+                        node,
+                        hops,
+                        latency,
+                    }),
+                    _ => None,
+                };
+                assert_eq!(
+                    res.reach(n, dst),
+                    want,
+                    "resolver disagrees with walk: node {n}, dst {}, t={now:?}",
+                    bobw_net::fmt_addr(dst)
+                );
             }
         }
     }
@@ -801,8 +824,10 @@ pub fn run_failover_instrumented(
     try_run_failover_instrumented(testbed, technique, failed).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_failover_instrumented`] that reports scenario compilation errors
-/// instead of panicking.
+/// [`run_failover_instrumented`] that reports errors instead of panicking:
+/// a scenario that does not compile, or a phase that exhausts
+/// `max_events` (the error names the phase; a truncated cell is never
+/// reported as a result).
 pub fn try_run_failover_instrumented(
     testbed: &Testbed,
     technique: &Technique,
@@ -846,7 +871,6 @@ pub fn try_run_failover_instrumented(
         bgp: BgpSim::from_seed(topo, cfg.timing.clone(), &testbed.bgp_seed),
         down: Vec::new(),
         targets: Vec::new(),
-        prober: NodeId(0), // set after target selection
         reactions: apply_reaction_fault(
             technique.after(plan, topo, cdn, failed),
             cfg.reaction_fault,
@@ -859,8 +883,8 @@ pub fn try_run_failover_instrumented(
         rng: &testbed.rng,
         log: ProbeLog::new(0),
         capture: SiteCapture::new(cdn.num_sites()),
-        probe_memo: Vec::new(),
-        down_epoch: 0,
+        resolver: Resolver::new(),
+        request_legs: Vec::new(),
         scratch: Vec::with_capacity(64),
         pending_faults: Vec::new(),
     };
@@ -913,7 +937,9 @@ pub fn try_run_failover_instrumented(
     for (d, e) in pending {
         engine.schedule_after(d, SimEvent::Bgp(e));
     }
-    engine.run_to_idle(&mut run, cfg.max_events);
+    engine
+        .run_to_idle(&mut run, cfg.max_events)
+        .within_budget("phase 1 (announce and converge)")?;
 
     // --- Phase 2: target selection + reachability (control) test. ---
     let require_not_anycast = !matches!(technique, Technique::Anycast);
@@ -930,30 +956,30 @@ pub fn try_run_failover_instrumented(
     );
     let num_selected = selected.len();
     let controllable: Vec<NodeId> = {
-        let env = ForwardEnv {
+        let mut res = run.resolver.at(ForwardEnv {
             topo,
             bgp: &run.bgp,
             down: &run.down,
-        };
+        });
         selected
             .into_iter()
-            .filter(|t| {
-                walk(&env, *t, plan.probe_addr())
-                    .delivered_to()
-                    .and_then(|n| cdn.site_at(n))
-                    == Some(failed)
-            })
+            .filter(|t| res.site(cdn, *t, plan.probe_addr()) == Some(failed))
             .collect()
     };
     run.targets = controllable;
     run.log = ProbeLog::new(run.targets.len());
     // Probe from the first surviving site (the paper probes "from a
     // Peering site other than the failed one").
-    run.prober = cdn
+    let prober = cdn
         .other_sites(failed)
         .map(|s| cdn.node(s))
         .next()
         .expect("at least two sites");
+    run.request_legs = run
+        .targets
+        .iter()
+        .map(|&t| request_leg(topo, prober, t))
+        .collect();
 
     // The original advertisements (replayed by Announce/SiteRestore ops).
     run.initial_actions = initial;
@@ -1034,7 +1060,9 @@ pub fn try_run_failover_instrumented(
             k += 1;
         }
     }
-    engine.run_until(&mut run, t_fail + cfg.probe.duration, cfg.max_events);
+    engine
+        .run_until(&mut run, t_fail + cfg.probe.duration, cfg.max_events)
+        .within_budget("phase 3 (fault script and probing)")?;
 
     // --- Phase 4: metrics. ---
     let outcomes: Vec<TargetOutcome> = (0..run.log.num_targets())
@@ -1643,6 +1671,84 @@ mod tests {
                     r.num_selected > 0,
                     "{action:?} under {model:?}: no targets selected"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn exhausted_event_budget_fails_the_cell_naming_the_phase() {
+        let mut cfg = ExperimentConfig::quick(7);
+        cfg.targets_per_site = 40;
+        cfg.max_events = 100;
+        let tb = Testbed::new(cfg);
+        let err = try_run_failover_instrumented(&tb, &Technique::ReactiveAnycast, tb.site("bos"))
+            .expect_err("a 100-event budget cannot converge phase 1");
+        assert!(err.contains("phase 1"), "{err}");
+        assert!(err.contains("event budget exhausted"), "{err}");
+    }
+
+    /// The catalog's link, site and session faults, in both session models:
+    /// every probe round cross-checks the resolver against `walk` for every
+    /// node (`Run::audit_resolver`), so a routing change that skips its
+    /// forwarding-key bump, or a resolver that mis-resolves a loop, dead
+    /// link or dead node, fails here.
+    mod resolver_differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        const CATALOG: [&str; 10] = [
+            "partial-peering-loss",
+            "regional-partition",
+            "silent-crash",
+            "double-failure",
+            "maintenance-drain",
+            "half-open",
+            "graceful-restart",
+            "session-reset",
+            "prefix-hijack",
+            "flap-storm",
+        ];
+        const SITES: [&str; 4] = ["bos", "ams", "atl", "sea1"];
+
+        fn run(seed: u64, scenario: &str, site: &str, model: SessionModel) {
+            let file = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join(format!("../../scenarios/{scenario}.json"));
+            let mut cfg = ExperimentConfig::quick(seed);
+            cfg.targets_per_site = 40;
+            cfg.scenario = Some(bobw_scenario::load_file(&file).expect("catalog file loads"));
+            cfg.session_model = model;
+            let tb = Testbed::new(cfg);
+            let site = tb.site(site);
+            for t in [Technique::Anycast, Technique::ReactiveAnycast] {
+                try_run_failover_instrumented(&tb, &t, site)
+                    .unwrap_or_else(|e| panic!("{scenario} under {model:?}: {e}"));
+            }
+        }
+
+        #[test]
+        fn every_catalog_fault_once() {
+            for (i, scenario) in CATALOG.iter().enumerate() {
+                let model = if i % 2 == 0 {
+                    SessionModel::Abstract
+                } else {
+                    SessionModel::MessageLevel
+                };
+                run(7, scenario, SITES[i % SITES.len()], model);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(6))]
+
+            #[test]
+            fn resolver_matches_walk_under_catalog_faults(
+                seed in 0u64..1000,
+                scenario in 0usize..CATALOG.len(),
+                site in 0usize..SITES.len(),
+            ) {
+                for model in [SessionModel::Abstract, SessionModel::MessageLevel] {
+                    run(seed, CATALOG[scenario], SITES[site], model);
+                }
             }
         }
     }

@@ -39,9 +39,11 @@ pub mod technique;
 pub mod tradeoffs;
 
 pub use bobw_traffic::{RegionCapacity, Steering, TrafficConfig, TrafficSim, TrafficSummary};
-pub use control::{measure_control, measure_control_instrumented, ControlResult};
+pub use control::{
+    measure_control, measure_control_instrumented, try_measure_control_instrumented, ControlResult,
+};
 pub use divergence::{analyze_divergence, DivergenceReport};
-pub use dns_experiment::{run_unicast_dns_failover, DnsClientConfig};
+pub use dns_experiment::{run_unicast_dns_failover, try_run_unicast_dns_failover, DnsClientConfig};
 pub use experiment::{
     run_failover, run_failover_instrumented, try_run_failover_instrumented, CellPerf,
     ExperimentConfig, FailoverResult, FailureMode, ReactionFault, SessionModel, Testbed,

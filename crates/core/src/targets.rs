@@ -8,7 +8,7 @@
 //! contributes one target, and a deterministic shuffle caps the count.
 
 use bobw_bgp::BgpSim;
-use bobw_dataplane::{catchment, rtt_to_site, ForwardEnv};
+use bobw_dataplane::{ForwardEnv, Resolver};
 use bobw_event::{RngFactory, SimDuration};
 use bobw_net::NodeId;
 use bobw_topology::{CdnDeployment, SiteId, Topology};
@@ -51,9 +51,10 @@ pub fn select_targets(
 }
 
 /// [`select_targets`] plus the total eligible-candidate count before the
-/// cap. Candidate filtering walks the data plane twice per client node, so
-/// a harness wanting both the capped selection and the candidate count
-/// should make one call here rather than two `select_targets` calls.
+/// cap. Candidate filtering resolves every client node toward two
+/// addresses, so a harness wanting both the capped selection and the
+/// candidate count should make one call here rather than two
+/// `select_targets` calls.
 #[allow(clippy::too_many_arguments)]
 pub fn select_targets_counted(
     topo: &Topology,
@@ -66,21 +67,22 @@ pub fn select_targets_counted(
     limit: usize,
     rng: &RngFactory,
 ) -> (Vec<NodeId>, usize) {
-    let env = ForwardEnv {
+    let mut resolver = Resolver::new();
+    let mut res = resolver.at(ForwardEnv {
         topo,
         bgp,
         down: &[],
-    };
+    });
     let max_rtt = SimDuration::from_secs_f64(proximity_ms / 1000.0);
     let mut eligible: Vec<NodeId> = topo
         .client_nodes()
         .filter(|client| {
-            match rtt_to_site(&env, *client, plan.rtt_addr()) {
+            match res.rtt(*client, plan.rtt_addr()) {
                 Some(rtt) if rtt <= max_rtt => {}
                 _ => return false,
             }
             if require_not_anycast {
-                catchment(&env, cdn, *client, plan.anycast_addr()) != Some(site)
+                res.site(cdn, *client, plan.anycast_addr()) != Some(site)
             } else {
                 true
             }
@@ -100,6 +102,7 @@ pub fn select_targets_counted(
 mod tests {
     use super::*;
     use bobw_bgp::{BgpTimingConfig, OriginConfig, Standalone};
+    use bobw_dataplane::{catchment, rtt_to_site};
     use bobw_topology::{generate, GenConfig};
 
     fn converged_testbed() -> (Topology, CdnDeployment, Standalone, AddressPlan, SiteId) {
@@ -112,7 +115,7 @@ mod tests {
         for other in cdn.sites() {
             s.announce(cdn.node(other), plan.anycast_probe, OriginConfig::plain());
         }
-        s.run_to_idle(50_000_000);
+        s.run_to_idle(50_000_000).expect_within_budget("converge");
         (topo, cdn, s, plan, site)
     }
 

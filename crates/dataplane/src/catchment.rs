@@ -51,7 +51,7 @@ mod tests {
         for &site in cdn.site_nodes() {
             s.announce(site, prefix, OriginConfig::plain());
         }
-        s.run_to_idle(10_000_000);
+        s.run_to_idle(10_000_000).expect_within_budget("converge");
         let env = ForwardEnv {
             topo: &topo,
             bgp: s.sim(),
@@ -78,7 +78,7 @@ mod tests {
         let ams = cdn.by_name("ams").unwrap();
         let mut s = Standalone::new(&topo, BgpTimingConfig::instant(), &rng);
         s.announce(cdn.node(ams), prefix, OriginConfig::plain());
-        s.run_to_idle(10_000_000);
+        s.run_to_idle(10_000_000).expect_within_budget("converge");
         let env = ForwardEnv {
             topo: &topo,
             bgp: s.sim(),
@@ -101,7 +101,7 @@ mod tests {
         let ams = cdn.by_name("ams").unwrap();
         let mut s = Standalone::new(&topo, BgpTimingConfig::instant(), &rng);
         s.announce(cdn.node(ams), prefix, OriginConfig::plain());
-        s.run_to_idle(10_000_000);
+        s.run_to_idle(10_000_000).expect_within_budget("converge");
         let env = ForwardEnv {
             topo: &topo,
             bgp: s.sim(),

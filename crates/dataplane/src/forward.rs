@@ -153,7 +153,7 @@ mod tests {
         let rng = RngFactory::new(1);
         let mut s = Standalone::new(topo, BgpTimingConfig::instant(), &rng);
         s.announce(origin, prefix, OriginConfig::plain());
-        s.run_to_idle(1_000_000);
+        s.run_to_idle(1_000_000).expect_within_budget("converge");
         s
     }
 

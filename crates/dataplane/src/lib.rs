@@ -19,15 +19,23 @@
 //! * [`mod@catchment`] computes which site each client AS reaches — the basis
 //!   of the paper's target selection ("not routed to the site by anycast")
 //!   and Table 1's traffic-control percentages.
+//! * [`resolve`] memoizes [`forward::walk`]'s outcome for every node toward
+//!   a destination, so callers asking for many sources at once (probe
+//!   rounds, demand ticks, target selection) walk each node once per
+//!   routing change instead of once per source.
 
 pub mod capture;
 pub mod catchment;
 pub mod forward;
 pub mod packet;
 pub mod probe;
+pub mod resolve;
 
 pub use capture::SiteCapture;
 pub use catchment::{catchment, rtt_to_site};
 pub use forward::{walk, walk_with_path, Delivery, ForwardEnv};
 pub use packet::{internet_checksum, IcmpEcho, PacketError, ETHICS_PAYLOAD};
-pub use probe::{probe_once, probe_path, ProbeConfig, ProbeLog, ProbeOutcome, ProbeRecord};
+pub use probe::{
+    probe_once, probe_path, request_leg, ProbeConfig, ProbeLog, ProbeOutcome, ProbeRecord,
+};
+pub use resolve::{Reach, Resolution, Resolver};

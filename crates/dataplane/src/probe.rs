@@ -152,10 +152,12 @@ pub fn probe_once(
 }
 
 /// The time-independent part of [`probe_once`]: which site answers and the
-/// total request+reply delay, or `None` when the probe is lost. A pure
-/// function of FIB and session state — callers may memoize the result
-/// keyed on [`BgpSim::state_version`](bobw_bgp::BgpSim::state_version)
-/// and recover `probe_once`'s answer as `now + delay`.
+/// total request+reply delay, or `None` when the probe is lost; the answer
+/// is `now + delay`. Probing many targets per round, query a
+/// [`Resolver`](crate::Resolver) for the reply leg instead: it walks each
+/// node once per change of the reply address's
+/// [`forwarding_key`](bobw_bgp::BgpSim::forwarding_key), and
+/// [`request_leg`] gives the other half.
 pub fn probe_path(
     env: &ForwardEnv<'_>,
     cdn: &CdnDeployment,
@@ -164,11 +166,7 @@ pub fn probe_path(
     target: NodeId,
     reply_dst: Ipv4Net,
 ) -> Option<(SiteId, SimDuration)> {
-    let request_leg = propagation_delay(
-        topo.node(prober_site)
-            .coords
-            .distance_km(&topo.node(target).coords),
-    );
+    let request_leg = request_leg(topo, prober_site, target);
     match walk(env, target, reply_dst) {
         Delivery::Delivered { node, latency, .. } => cdn
             .site_at(node)
@@ -177,6 +175,17 @@ pub fn probe_path(
             .map(|site| (site, request_leg + latency)),
         _ => None,
     }
+}
+
+/// The probe's outbound leg, `prober_site → target`: geographic
+/// propagation delay (the paper pre-selects responsive targets, so the
+/// request is assumed deliverable). Fixed for a cell's lifetime.
+pub fn request_leg(topo: &Topology, prober_site: NodeId, target: NodeId) -> SimDuration {
+    propagation_delay(
+        topo.node(prober_site)
+            .coords
+            .distance_km(&topo.node(target).coords),
+    )
 }
 
 #[cfg(test)]
@@ -205,7 +214,7 @@ mod tests {
         let bos = cdn.by_name("bos").unwrap();
         let mut s = Standalone::new(&topo, BgpTimingConfig::instant(), &rng);
         s.announce(cdn.node(ams), prefix, OriginConfig::plain());
-        s.run_to_idle(10_000_000);
+        s.run_to_idle(10_000_000).expect_within_budget("converge");
         let env = ForwardEnv {
             topo: &topo,
             bgp: s.sim(),
@@ -240,7 +249,7 @@ mod tests {
         let bos = cdn.by_name("bos").unwrap();
         let mut s = Standalone::new(&topo, BgpTimingConfig::instant(), &rng);
         s.announce(cdn.node(ams), prefix, OriginConfig::plain());
-        s.run_to_idle(10_000_000);
+        s.run_to_idle(10_000_000).expect_within_budget("converge");
         // Site down, routes not yet withdrawn: every reply dies at the site.
         let down = [cdn.node(ams)];
         let env = ForwardEnv {

@@ -36,7 +36,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
-use bobw_core::{measure_control_instrumented, try_run_failover_instrumented, Technique, Testbed};
+use bobw_core::{
+    try_measure_control_instrumented, try_run_failover_instrumented, Technique, Testbed,
+};
 
 use crate::auth::AuthSecret;
 use crate::endpoint::{Conn, Endpoint};
@@ -322,19 +324,23 @@ fn heartbeat_guard(writer: Arc<Mutex<Conn>>, batch_id: u64, cell_index: u64) -> 
         let (stopped, wake) = &*state2;
         let mut stopped = stopped.lock().unwrap();
         loop {
-            let (guard, timeout) = wake.wait_timeout(stopped, HEARTBEAT_INTERVAL).unwrap();
+            // The predicate is checked before waiting: a cell that finishes
+            // before this thread first takes the lock has already set the
+            // flag and notified, and must not hold its reply for a whole
+            // interval waiting for a wake-up that already happened.
+            let (guard, _) = wake
+                .wait_timeout_while(stopped, HEARTBEAT_INTERVAL, |stopped| !*stopped)
+                .unwrap();
             stopped = guard;
             if *stopped {
                 return;
             }
-            if timeout.timed_out() {
-                let beat = FromWorker::Heartbeat {
-                    batch_id,
-                    cell_index,
-                };
-                if send(&mut *writer.lock().unwrap(), &beat).is_err() {
-                    return; // connection gone; the main loop will notice too
-                }
+            let beat = FromWorker::Heartbeat {
+                batch_id,
+                cell_index,
+            };
+            if send(&mut *writer.lock().unwrap(), &beat).is_err() {
+                return; // connection gone; the main loop will notice too
             }
         }
     });
@@ -376,8 +382,30 @@ pub fn execute_cell(tb: &Testbed, cell: &CellSpec) -> Result<CellOutput, String>
                 .cdn
                 .by_name(site)
                 .ok_or_else(|| format!("unknown site {site:?}"))?;
-            let (result, perf) = measure_control_instrumented(tb, site, prepends);
+            let (result, perf) = try_measure_control_instrumented(tb, site, prepends)?;
             Ok(CellOutput::Control(result, perf))
+        }
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use std::os::unix::net::UnixStream;
+    use std::time::Instant;
+
+    #[test]
+    fn dropping_a_fresh_heartbeat_guard_does_not_wait_an_interval() {
+        let (ours, _theirs) = UnixStream::pair().unwrap();
+        let writer = Arc::new(Mutex::new(Conn::Unix(ours)));
+        for _ in 0..20 {
+            let start = Instant::now();
+            drop(heartbeat_guard(Arc::clone(&writer), 1, 0));
+            assert!(
+                start.elapsed() < HEARTBEAT_INTERVAL / 4,
+                "guard drop took {:?}",
+                start.elapsed()
+            );
         }
     }
 }

@@ -39,7 +39,10 @@ impl<'a, E> Scheduler<'a, E> {
     }
 }
 
-/// Outcome of [`Engine::run_until`].
+/// Outcome of [`Engine::run_until`]. Must be looked at: a run that
+/// exhausted its budget stopped mid-flight, and nothing measured from its
+/// state may be reported as if it had finished.
+#[must_use]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
     /// The queue drained before the deadline; time is at the last event.
@@ -48,6 +51,26 @@ pub enum StepOutcome {
     DeadlineReached,
     /// The event budget was exhausted (runaway protection).
     BudgetExhausted,
+}
+
+impl StepOutcome {
+    /// `Err` naming `phase` when the event budget ran out before the phase
+    /// finished; `Ok` when the queue drained or the deadline was reached.
+    pub fn within_budget(self, phase: &str) -> Result<(), String> {
+        match self {
+            StepOutcome::BudgetExhausted => Err(format!("{phase}: event budget exhausted")),
+            StepOutcome::Idle | StepOutcome::DeadlineReached => Ok(()),
+        }
+    }
+
+    /// [`within_budget`](StepOutcome::within_budget) for callers with no
+    /// error channel (bench binaries, examples): panics naming `phase`.
+    #[track_caller]
+    pub fn expect_within_budget(self, phase: &str) {
+        if let Err(e) = self.within_budget(phase) {
+            panic!("{e}");
+        }
+    }
 }
 
 /// A discrete-event engine over payload type `E`.
@@ -299,7 +322,7 @@ mod tests {
         let mut eng = Engine::new();
         let mut h = PastScheduler { fired: false };
         eng.schedule_at(SimTime::from_secs(3), 0);
-        eng.run_to_idle(&mut h, 10);
+        eng.run_to_idle(&mut h, 10).expect_within_budget("converge");
         assert!(h.fired);
         assert_eq!(eng.now(), SimTime::from_secs(3));
     }
@@ -334,7 +357,8 @@ mod tests {
         eng.schedule_at(SimTime::from_secs(2), 1);
         eng.schedule_at(SimTime::from_secs(3), 2);
         assert_eq!(eng.peak_pending(), 3);
-        eng.run_to_idle(&mut Nop, 10);
+        eng.run_to_idle(&mut Nop, 10)
+            .expect_within_budget("converge");
         // Draining never lowers the high-water mark.
         assert_eq!(eng.pending(), 0);
         assert_eq!(eng.peak_pending(), 3);
@@ -355,7 +379,8 @@ mod tests {
         }
         let mut eng = Engine::new();
         eng.schedule_at(SimTime::ZERO, 0u32);
-        eng.run_to_idle(&mut FanOut(5), 100);
+        eng.run_to_idle(&mut FanOut(5), 100)
+            .expect_within_budget("converge");
         assert_eq!(eng.peak_pending(), 5);
     }
 
@@ -378,7 +403,8 @@ mod tests {
         let run = |mut eng: Engine<u32>| {
             let mut h = Fan { seen: vec![] };
             eng.schedule_at(SimTime::ZERO, 0);
-            eng.run_to_idle(&mut h, 1000);
+            eng.run_to_idle(&mut h, 1000)
+                .expect_within_budget("converge");
             (h.seen, eng.processed(), eng.now(), eng.peak_pending())
         };
         let cold = run(Engine::new());

@@ -59,7 +59,8 @@ proptest! {
             eng.schedule_at(at, *s);
         }
         let mut h = H { observed: Vec::new(), spawn_budget: 100 };
-        eng.run_to_idle(&mut h, 1_000_000);
+        eng.run_to_idle(&mut h, 1_000_000)
+.expect_within_budget("converge");
         prop_assert!(h.observed.len() >= n_initial);
         for w in h.observed.windows(2) {
             prop_assert!(w[0] <= w[1], "clock went backwards");
@@ -87,8 +88,10 @@ proptest! {
                 eng.schedule_at(SimTime::from_secs(*t), i);
             }
             let mut h = Collect(Vec::new());
-            eng.run_until(&mut h, SimTime::from_secs(split_at), 1_000_000);
-            eng.run_to_idle(&mut h, 1_000_000);
+            eng.run_until(&mut h, SimTime::from_secs(split_at), 1_000_000)
+.expect_within_budget("run to deadline");
+            eng.run_to_idle(&mut h, 1_000_000)
+.expect_within_budget("converge");
             h.0
         };
         let run_whole = {
@@ -97,7 +100,8 @@ proptest! {
                 eng.schedule_at(SimTime::from_secs(*t), i);
             }
             let mut h = Collect(Vec::new());
-            eng.run_to_idle(&mut h, 1_000_000);
+            eng.run_to_idle(&mut h, 1_000_000)
+.expect_within_budget("converge");
             h.0
         };
         prop_assert_eq!(run_split, run_whole);

@@ -25,7 +25,8 @@ fn main() {
     for site in cdn.sites() {
         sim.announce(cdn.node(site), prefix, OriginConfig::plain());
     }
-    sim.run_to_idle(testbed.cfg.max_events);
+    sim.run_to_idle(testbed.cfg.max_events)
+        .expect_within_budget("converge");
     let env = ForwardEnv {
         topo,
         bgp: sim.sim(),

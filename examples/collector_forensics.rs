@@ -33,7 +33,7 @@ fn main() {
     let mut sim = Standalone::new(&topo, BgpTimingConfig::default(), &rng);
     sim.sim_mut().set_record_history(true);
     sim.announce(site, prefix, OriginConfig::plain());
-    sim.run_to_idle(50_000_000);
+    sim.run_to_idle(50_000_000).expect_within_budget("converge");
     let feed = collector.feed(sim.sim().history(), prefix);
     println!("\n== Announcement from 'atl' ==");
     println!("collector saw {} updates", feed.len());
@@ -55,7 +55,7 @@ fn main() {
     sim.sim_mut().take_history();
     let t0 = sim.now();
     sim.withdraw(site, prefix);
-    sim.run_to_idle(50_000_000);
+    sim.run_to_idle(50_000_000).expect_within_budget("converge");
     let feed = collector.feed(sim.sim().history(), prefix);
     println!("\n== Withdrawal from 'atl' (true instant: {t0}) ==");
     println!(

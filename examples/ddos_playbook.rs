@@ -48,7 +48,8 @@ fn main() {
             };
             sim.announce(cdn.node(site), prefix, cfg);
         }
-        sim.run_to_idle(testbed.cfg.max_events);
+        sim.run_to_idle(testbed.cfg.max_events)
+            .expect_within_budget("converge");
         let env = ForwardEnv {
             topo,
             bgp: sim.sim(),
@@ -74,7 +75,8 @@ fn main() {
                 sim.announce(cdn.node(site), prefix, OriginConfig::plain());
             }
         }
-        sim.run_to_idle(testbed.cfg.max_events);
+        sim.run_to_idle(testbed.cfg.max_events)
+            .expect_within_budget("converge");
         let env = ForwardEnv {
             topo,
             bgp: sim.sim(),
@@ -126,7 +128,8 @@ fn main() {
             };
             sim.announce(cdn.node(site), prefix, cfg);
         }
-        sim.run_to_idle(testbed.cfg.max_events);
+        sim.run_to_idle(testbed.cfg.max_events)
+            .expect_within_budget("converge");
         let env = ForwardEnv {
             topo,
             bgp: sim.sim(),

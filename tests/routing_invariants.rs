@@ -23,7 +23,7 @@ fn converged_anycast(
     for &site in cdn.site_nodes() {
         sim.announce(site, prefix, OriginConfig::plain());
     }
-    sim.run_to_idle(50_000_000);
+    sim.run_to_idle(50_000_000).expect_within_budget("converge");
     (topo, cdn, sim)
 }
 
@@ -115,7 +115,8 @@ proptest! {
         for &site in cdn.site_nodes() {
             sim.withdraw(site, prefix);
         }
-        sim.run_to_idle(50_000_000);
+        sim.run_to_idle(50_000_000)
+.expect_within_budget("converge");
         for id in topo.ids() {
             prop_assert!(sim.sim().best(id, &prefix).is_none(), "{id} kept a route");
             prop_assert!(sim.sim().fib_lookup(id, prefix.addr_at(1)).is_none());
@@ -137,7 +138,8 @@ proptest! {
         for &site in cdn.site_nodes() {
             sim.announce(site, covering, OriginConfig::plain());
         }
-        sim.run_to_idle(50_000_000);
+        sim.run_to_idle(50_000_000)
+.expect_within_budget("converge");
         let in_specific = specific.addr_at(7);
         let in_other_half = covering.addr_at(0x17f); // 184.164.245.127
         for id in topo.ids() {
@@ -183,7 +185,8 @@ proptest! {
                 };
                 sim.announce(site, prefix, cfg);
             }
-            sim.run_to_idle(50_000_000);
+            sim.run_to_idle(50_000_000)
+.expect_within_budget("converge");
             let env = ForwardEnv { topo: &topo, bgp: sim.sim(), down: &[] };
             topo.client_nodes()
                 .filter(|c| {
