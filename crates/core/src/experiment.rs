@@ -773,7 +773,7 @@ fn apply_reaction_fault(
 /// host-dependent, and `results/*.json` must stay byte-identical across
 /// `--jobs` settings and machines. Perf data flows to `results/SUMMARY.md`
 /// and `BENCH_*.json` artifacts instead.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CellPerf {
     /// Simulator events processed by the cell's engine.
     pub events_processed: u64,

@@ -18,11 +18,10 @@
 //!   produces the same worlds, builds a local `Testbed` from the config
 //!   shipped in each batch, and streams back `(cell_index, result,
 //!   CellPerf)` records.
-//! * [`wire`] — the hand-rolled binary codec (the vendored serde stub
-//!   cannot deserialize) with exact `f64` bit-pattern round-trips, plus
-//!   the length-prefixed frame layer.
-//! * [`proto`] — the message set and the `Wire` encodings of the
-//!   experiment config/result types.
+//! * [`wire`] — the length-prefixed frame layer; each payload is the
+//!   compact JSON of the message's `Serialize`/`Deserialize` schema,
+//!   decoded typed, with exact `f64` round-trips.
+//! * [`proto`] — the message set and the build/config fingerprints.
 //! * [`endpoint`] — `tcp://host:port` and `unix://path` transports.
 //! * [`interrupt`] — Ctrl-C detection for the coordinator's graceful
 //!   drain.

@@ -1,4 +1,5 @@
-//! Protocol messages and [`Wire`] encodings for the experiment types.
+//! Protocol messages. Every message derives `Serialize`/`Deserialize` and
+//! crosses the wire as typed JSON (see [`crate::wire`]).
 //!
 //! The coordinator ships the **full `ExperimentConfig`** in each batch
 //! header rather than asking workers to reconstruct it from CLI flags:
@@ -17,15 +18,10 @@
 
 use std::sync::OnceLock;
 
-use bobw_core::{
-    CellPerf, ControlResult, ExperimentConfig, FailoverResult, FailureMode, ReactionFault,
-};
-use bobw_event::{RngFactory, SimDuration, SimTime};
-use bobw_net::Prefix;
-use bobw_topology::{generate, GenConfig, SiteAttachment, SiteId, SiteSpec};
-
-use crate::wire::{Wire, WireError};
-use crate::wire_struct;
+use bobw_core::{CellPerf, ControlResult, ExperimentConfig, FailoverResult};
+use bobw_event::RngFactory;
+use bobw_topology::{generate, GenConfig};
+use serde::{Deserialize, Serialize};
 
 /// Bump on any incompatible change to the message set or an encoding.
 /// v2: `ExperimentConfig` carries an optional fault scenario.
@@ -41,7 +37,10 @@ use crate::wire_struct;
 /// message-level FSMs) and `TrafficConfig` carries per-region capacity
 /// overrides. Scenarios still cross as JSON, so the session-fault actions
 /// need no encoding change.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// v7: every message crosses as typed JSON; the hand-written binary
+/// encoding is gone. Adding a config or result field no longer needs a
+/// bump of its own.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 // ---------------------------------------------------------------------------
 // Fingerprints
@@ -87,7 +86,7 @@ pub fn config_fingerprint(cfg: &ExperimentConfig) -> u64 {
 /// One unit of distributable work. Sites travel by *name* (the grids in
 /// `ablation.rs` and friends are written in site names) and techniques by
 /// their paper name, which round-trips through `Technique::parse`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CellSpec {
     /// A §5.2 failover experiment: run `technique`, fail `site`.
     Failover { technique: String, site: String },
@@ -96,7 +95,7 @@ pub enum CellSpec {
 }
 
 /// The result of one executed cell, mirroring [`CellSpec`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum CellOutput {
     Failover(FailoverResult, CellPerf),
     Control(ControlResult, CellPerf),
@@ -118,7 +117,7 @@ impl CellOutput {
 /// on every accepted connection: a fresh nonce the peer must fold into
 /// its authentication tag, plus whether a tag is required at all (no
 /// configured secret ⇒ open, the pre-v4 behavior).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Challenge {
     pub nonce: Vec<u8>,
     pub auth_required: bool,
@@ -128,14 +127,14 @@ pub struct Challenge {
 /// connection as a cell-computing worker or a job-service client. A
 /// plain batch coordinator rejects `Client` greetings; the `bobw serve`
 /// daemon accepts both on one listener.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Greeting {
     Worker(Hello),
     Client(ClientHello),
 }
 
 /// Worker half of a [`Greeting`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Hello {
     pub protocol: u32,
     /// [`build_fingerprint`] of the worker's binary.
@@ -151,7 +150,7 @@ pub struct Hello {
 }
 
 /// Client half of a [`Greeting`] (submit/watch/status connections).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClientHello {
     pub protocol: u32,
     /// Human-readable client name for logs.
@@ -161,7 +160,7 @@ pub struct ClientHello {
 }
 
 /// Coordinator's answer to a [`Hello`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum HelloReply {
     Welcome,
     /// The worker must exit; `reason` is for its log.
@@ -171,7 +170,7 @@ pub enum HelloReply {
 }
 
 /// Coordinator → worker after the handshake.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ToWorker {
     /// Announces a batch: workers (re)build their testbed for `config`
     /// (cached across batches by [`config_fingerprint`]).
@@ -195,7 +194,7 @@ pub enum ToWorker {
 }
 
 /// Worker → coordinator after the handshake.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum FromWorker {
     /// Acknowledges a `Batch`: the testbed for its config is up (either
     /// freshly built or — `cache_hit` — served warm from the worker's
@@ -220,549 +219,12 @@ pub enum FromWorker {
     },
 }
 
-// ---------------------------------------------------------------------------
-// Wire impls — protocol messages
-// ---------------------------------------------------------------------------
-
-wire_struct!(Hello {
-    protocol,
-    fingerprint,
-    worker_name,
-    capacity,
-    auth
-});
-
-wire_struct!(ClientHello {
-    protocol,
-    client_name,
-    auth
-});
-
-wire_struct!(Challenge {
-    nonce,
-    auth_required
-});
-
-impl Wire for Greeting {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Greeting::Worker(h) => {
-                0u32.encode(out);
-                h.encode(out);
-            }
-            Greeting::Client(h) => {
-                1u32.encode(out);
-                h.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(Greeting::Worker(Hello::decode(buf)?)),
-            1 => Ok(Greeting::Client(ClientHello::decode(buf)?)),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-impl Wire for HelloReply {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            HelloReply::Welcome => 0u32.encode(out),
-            HelloReply::Rejected { reason } => {
-                1u32.encode(out);
-                reason.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(HelloReply::Welcome),
-            1 => Ok(HelloReply::Rejected {
-                reason: String::decode(buf)?,
-            }),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-impl Wire for CellSpec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CellSpec::Failover { technique, site } => {
-                0u32.encode(out);
-                technique.encode(out);
-                site.encode(out);
-            }
-            CellSpec::Control { site, prepends } => {
-                1u32.encode(out);
-                site.encode(out);
-                prepends.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(CellSpec::Failover {
-                technique: String::decode(buf)?,
-                site: String::decode(buf)?,
-            }),
-            1 => Ok(CellSpec::Control {
-                site: String::decode(buf)?,
-                prepends: Vec::decode(buf)?,
-            }),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-impl Wire for CellOutput {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CellOutput::Failover(r, p) => {
-                0u32.encode(out);
-                r.encode(out);
-                p.encode(out);
-            }
-            CellOutput::Control(r, p) => {
-                1u32.encode(out);
-                r.encode(out);
-                p.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(CellOutput::Failover(
-                FailoverResult::decode(buf)?,
-                CellPerf::decode(buf)?,
-            )),
-            1 => Ok(CellOutput::Control(
-                ControlResult::decode(buf)?,
-                CellPerf::decode(buf)?,
-            )),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-impl Wire for ToWorker {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ToWorker::Batch {
-                batch_id,
-                config_print,
-                config,
-            } => {
-                0u32.encode(out);
-                batch_id.encode(out);
-                config_print.encode(out);
-                config.encode(out);
-            }
-            ToWorker::Assign {
-                batch_id,
-                cell_index,
-                cell,
-            } => {
-                1u32.encode(out);
-                batch_id.encode(out);
-                cell_index.encode(out);
-                cell.encode(out);
-            }
-            ToWorker::Drain => 2u32.encode(out),
-            ToWorker::Shutdown => 3u32.encode(out),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(ToWorker::Batch {
-                batch_id: u64::decode(buf)?,
-                config_print: u64::decode(buf)?,
-                config: Box::new(ExperimentConfig::decode(buf)?),
-            }),
-            1 => Ok(ToWorker::Assign {
-                batch_id: u64::decode(buf)?,
-                cell_index: u64::decode(buf)?,
-                cell: CellSpec::decode(buf)?,
-            }),
-            2 => Ok(ToWorker::Drain),
-            3 => Ok(ToWorker::Shutdown),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-impl Wire for FromWorker {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            FromWorker::Ready { cache_hit } => {
-                0u32.encode(out);
-                cache_hit.encode(out);
-            }
-            FromWorker::Heartbeat {
-                batch_id,
-                cell_index,
-            } => {
-                1u32.encode(out);
-                batch_id.encode(out);
-                cell_index.encode(out);
-            }
-            FromWorker::Done {
-                batch_id,
-                cell_index,
-                output,
-            } => {
-                2u32.encode(out);
-                batch_id.encode(out);
-                cell_index.encode(out);
-                output.encode(out);
-            }
-            FromWorker::Failed {
-                batch_id,
-                cell_index,
-                error,
-            } => {
-                3u32.encode(out);
-                batch_id.encode(out);
-                cell_index.encode(out);
-                error.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(FromWorker::Ready {
-                cache_hit: bool::decode(buf)?,
-            }),
-            1 => Ok(FromWorker::Heartbeat {
-                batch_id: u64::decode(buf)?,
-                cell_index: u64::decode(buf)?,
-            }),
-            2 => Ok(FromWorker::Done {
-                batch_id: u64::decode(buf)?,
-                cell_index: u64::decode(buf)?,
-                output: Box::new(CellOutput::decode(buf)?),
-            }),
-            3 => Ok(FromWorker::Failed {
-                batch_id: u64::decode(buf)?,
-                cell_index: u64::decode(buf)?,
-                error: String::decode(buf)?,
-            }),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Wire impls — simulator time, ids, prefixes
-// ---------------------------------------------------------------------------
-
-impl Wire for SimDuration {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.as_nanos().encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(SimDuration::from_nanos(u64::decode(buf)?))
-    }
-}
-
-impl Wire for SimTime {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.as_nanos().encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(SimTime::from_nanos(u64::decode(buf)?))
-    }
-}
-
-impl Wire for SiteId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(SiteId(u8::decode(buf)?))
-    }
-}
-
-impl Wire for Prefix {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.bits().encode(out);
-        self.len().encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let bits = u32::decode(buf)?;
-        let len = u8::decode(buf)?;
-        if len > 32 {
-            return Err(WireError::Invalid("prefix length > 32"));
-        }
-        Ok(Prefix::new(bits, len))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Wire impls — experiment configuration
-// ---------------------------------------------------------------------------
-
-impl Wire for SiteAttachment {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let (d, n) = match self {
-            SiteAttachment::TransitProviders(n) => (0u32, *n),
-            SiteAttachment::RemoteTransitProviders(n) => (1, *n),
-            SiteAttachment::Tier1Providers(n) => (2, *n),
-            SiteAttachment::ResearchEduProviders(n) => (3, *n),
-            SiteAttachment::EyeballPeers(n) => (4, *n),
-            SiteAttachment::TransitPeers(n) => (5, *n),
-        };
-        d.encode(out);
-        n.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let d = u32::decode(buf)?;
-        let n = usize::decode(buf)?;
-        Ok(match d {
-            0 => SiteAttachment::TransitProviders(n),
-            1 => SiteAttachment::RemoteTransitProviders(n),
-            2 => SiteAttachment::Tier1Providers(n),
-            3 => SiteAttachment::ResearchEduProviders(n),
-            4 => SiteAttachment::EyeballPeers(n),
-            5 => SiteAttachment::TransitPeers(n),
-            d => return Err(WireError::BadDiscriminant(d)),
-        })
-    }
-}
-
-wire_struct!(SiteSpec {
-    name,
-    region,
-    attachments
-});
-
-wire_struct!(GenConfig {
-    tier1,
-    transit,
-    rne,
-    eyeballs,
-    stubs,
-    transit_peer_prob,
-    transit_cross_peers,
-    stub_rne_fraction,
-    transit_extra_tier1,
-    eyeball_providers,
-    stub_providers,
-    rne_peers,
-    ixps,
-    ixp_member_prob,
-    sites
-});
-
-wire_struct!(bobw_bgp::DampingConfig {
-    withdrawal_penalty,
-    update_penalty,
-    suppress_threshold,
-    reuse_threshold,
-    half_life,
-    max_penalty
-});
-
-wire_struct!(bobw_bgp::BgpTimingConfig {
-    mrai_min_s,
-    mrai_max_s,
-    mrai_jitter_lo,
-    mrai_jitter_hi,
-    announce_proc_median_s,
-    announce_proc_sigma,
-    withdraw_proc_median_s,
-    withdraw_proc_sigma,
-    mrai_slow_fraction,
-    mrai_slow_multiplier,
-    hold_time_s,
-    flap_damping,
-    withdrawal_rate_limiting
-});
-
-wire_struct!(bobw_dataplane::ProbeConfig {
-    interval,
-    duration,
-    source_offset
-});
-
-wire_struct!(bobw_core::AddressPlan {
-    covering,
-    specific,
-    rtt_probe,
-    anycast_probe,
-    source_offset,
-    site_block
-});
-
-impl Wire for FailureMode {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            FailureMode::GracefulWithdrawal => 0u32.encode(out),
-            FailureMode::SilentCrash => 1u32.encode(out),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(FailureMode::GracefulWithdrawal),
-            1 => Ok(FailureMode::SilentCrash),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-impl Wire for ReactionFault {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ReactionFault::SkipSites(n) => {
-                0u32.encode(out);
-                n.encode(out);
-            }
-            ReactionFault::WrongPrefix => 1u32.encode(out),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(ReactionFault::SkipSites(usize::decode(buf)?)),
-            1 => Ok(ReactionFault::WrongPrefix),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-// Scenarios cross the wire as their canonical JSON and are re-parsed with
-// the *typed* deserializer on arrival, so a worker rejects a structurally
-// invalid scenario at decode time — before it can build a testbed from it.
-impl Wire for bobw_scenario::Scenario {
-    fn encode(&self, out: &mut Vec<u8>) {
-        serde_json::to_string(self)
-            .expect("scenario serializes")
-            .encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let json = String::decode(buf)?;
-        serde_json::from_str_typed(&json).map_err(|_| WireError::Invalid("malformed scenario"))
-    }
-}
-
-impl Wire for bobw_core::SessionModel {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            bobw_core::SessionModel::Abstract => 0u32.encode(out),
-            bobw_core::SessionModel::MessageLevel => 1u32.encode(out),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u32::decode(buf)? {
-            0 => Ok(bobw_core::SessionModel::Abstract),
-            1 => Ok(bobw_core::SessionModel::MessageLevel),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
-
-wire_struct!(ExperimentConfig {
-    gen,
-    timing,
-    probe,
-    plan,
-    targets_per_site,
-    proximity_ms,
-    detection_delay,
-    failure_mode,
-    reaction_fault,
-    pre_failure_flaps,
-    scenario,
-    traffic,
-    session_model,
-    seed,
-    max_events
-});
-
-wire_struct!(bobw_core::RegionCapacity { region, factor });
-
-wire_struct!(bobw_core::TrafficConfig {
-    capacity_headroom,
-    utilization_ceiling,
-    tick_interval_s,
-    control_every,
-    resteer_ttl_s,
-    diurnal_amplitude,
-    diurnal_period_s,
-    region_capacity
-});
-
-// ---------------------------------------------------------------------------
-// Wire impls — results
-// ---------------------------------------------------------------------------
-
-wire_struct!(bobw_core::TargetOutcome {
-    reconnection,
-    failover,
-    final_site,
-    bounces,
-    losses_after_reconnect
-});
-
-wire_struct!(FailoverResult {
-    technique,
-    site_name,
-    failed_site,
-    num_candidates,
-    num_selected,
-    num_controllable,
-    outcomes,
-    t_fail,
-    traffic
-});
-
-wire_struct!(bobw_core::TrafficSummary {
-    ticks,
-    peak_utilization_before,
-    peak_utilization_after,
-    offered,
-    served,
-    shed,
-    scrubbed,
-    unserved,
-    resteers,
-    target_weights
-});
-
-wire_struct!(ControlResult {
-    site_name,
-    site,
-    num_near,
-    frac_not_anycast_routed,
-    steered
-});
-
-wire_struct!(CellPerf {
-    events_processed,
-    peak_queue_depth,
-    queue_capacity,
-    wall_micros
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_exact, encode_vec};
+    use crate::wire::{decode_exact, encode_vec, Wire};
+    use bobw_core::{FailureMode, ReactionFault};
+    use bobw_event::SimDuration;
 
     #[test]
     fn experiment_config_round_trips_exactly() {
@@ -951,8 +413,143 @@ mod tests {
     /// worker could try to build a testbed from it.
     #[test]
     fn malformed_scenario_is_rejected_at_decode() {
-        let bytes = encode_vec(&"{\"name\": \"x\"}".to_string());
-        let err = decode_exact::<bobw_scenario::Scenario>(&bytes).unwrap_err();
-        assert!(matches!(err, WireError::Invalid("malformed scenario")));
+        let err = decode_exact::<bobw_scenario::Scenario>(b"{\"name\": \"x\"}").unwrap_err();
+        assert!(err.to_string().contains("missing field"), "{err}");
+    }
+
+    /// A real traffic-enabled failover cell and a real control cell.
+    fn real_outputs() -> [CellOutput; 2] {
+        use bobw_core::{measure_control_instrumented, run_failover_instrumented};
+        use bobw_core::{Technique, Testbed};
+        let mut cfg = ExperimentConfig::quick(7);
+        cfg.targets_per_site = 20;
+        cfg.traffic = Some(bobw_core::TrafficConfig::default());
+        let tb = Testbed::new(cfg);
+        let site = tb.site("bos");
+        let (r, p) = run_failover_instrumented(&tb, &Technique::ReactiveAnycast, site);
+        let (c, q) = measure_control_instrumented(&tb, site, &[1, 3]);
+        [CellOutput::Failover(r, p), CellOutput::Control(c, q)]
+    }
+
+    /// `encode(decode(b)) == b`: the payload is a fixed point of the codec.
+    fn assert_reencodes<T: Wire>(value: &T) {
+        let bytes = encode_vec(value);
+        let back: T = decode_exact(&bytes).unwrap();
+        assert_eq!(
+            encode_vec(&back),
+            bytes,
+            "{}",
+            String::from_utf8_lossy(&bytes)
+        );
+    }
+
+    #[test]
+    fn every_message_type_reencodes_identically() {
+        let outputs = real_outputs();
+        let spec = CellSpec::Control {
+            site: "bos".into(),
+            prepends: vec![1, 3],
+        };
+        let hello = Hello {
+            protocol: PROTOCOL_VERSION,
+            fingerprint: u64::MAX,
+            worker_name: "w-\"1\"\n".into(),
+            capacity: 2,
+            auth: vec![0, 255, 7],
+        };
+        let client = ClientHello {
+            protocol: PROTOCOL_VERSION,
+            client_name: "cli".into(),
+            auth: Vec::new(),
+        };
+        assert_reencodes(&Challenge {
+            nonce: crate::auth::fresh_nonce(),
+            auth_required: false,
+        });
+        assert_reencodes(&Greeting::Worker(hello.clone()));
+        assert_reencodes(&Greeting::Client(client.clone()));
+        assert_reencodes(&hello);
+        assert_reencodes(&client);
+        assert_reencodes(&HelloReply::Welcome);
+        assert_reencodes(&HelloReply::Rejected {
+            reason: "no".into(),
+        });
+        assert_reencodes(&spec);
+        assert_reencodes(&ToWorker::Batch {
+            batch_id: 1,
+            config_print: 2,
+            config: Box::new(ExperimentConfig::eval(42)),
+        });
+        assert_reencodes(&ToWorker::Assign {
+            batch_id: 1,
+            cell_index: 3,
+            cell: spec,
+        });
+        assert_reencodes(&ToWorker::Drain);
+        assert_reencodes(&ToWorker::Shutdown);
+        assert_reencodes(&FromWorker::Ready { cache_hit: true });
+        assert_reencodes(&FromWorker::Heartbeat {
+            batch_id: 1,
+            cell_index: 3,
+        });
+        assert_reencodes(&FromWorker::Failed {
+            batch_id: 1,
+            cell_index: 3,
+            error: "unknown site".into(),
+        });
+        for output in outputs {
+            assert_reencodes(&output);
+            assert_reencodes(&FromWorker::Done {
+                batch_id: 1,
+                cell_index: 3,
+                output: Box::new(output),
+            });
+        }
+    }
+
+    /// A non-finite float renders as `null`; decoding must fail and name
+    /// the field instead of handing the coordinator a different number.
+    #[test]
+    fn non_finite_result_float_fails_decode_with_its_path() {
+        let [CellOutput::Failover(mut r, p), _] = real_outputs() else {
+            panic!("wrong variant");
+        };
+        r.traffic
+            .as_mut()
+            .expect("traffic observed")
+            .peak_utilization_after[1] = f64::INFINITY;
+        let bytes = encode_vec(&CellOutput::Failover(r, p));
+        let err = decode_exact::<CellOutput>(&bytes).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("Failover[0].traffic.peak_utilization_after[1]: expected number"),
+            "{err}"
+        );
+    }
+
+    /// A config from the wire cannot carry a prefix `Prefix::new` would
+    /// assert on: a length over 32 or host bits set.
+    #[test]
+    fn impossible_prefixes_fail_config_decode() {
+        let cfg = ExperimentConfig::quick(1);
+        let json = serde_json::to_string(&cfg).unwrap();
+        let covering = cfg.plan.covering;
+        let field = |bits: u32, len: u8| format!("\"covering\":{{\"bits\":{bits},\"len\":{len}}}");
+        let ours = field(covering.bits(), covering.len());
+        assert!(json.contains(&ours));
+        for (bad, why) in [
+            (
+                field(covering.bits(), 40),
+                "plan.covering.len: prefix length 40 > 32",
+            ),
+            (
+                field(covering.bits() | 1, covering.len()),
+                "plan.covering: host bits set",
+            ),
+        ] {
+            let err =
+                decode_exact::<ExperimentConfig>(json.replace(&ours, &bad).as_bytes()).unwrap_err();
+            assert!(err.to_string().contains(why), "{err}");
+        }
     }
 }

@@ -1,18 +1,16 @@
-//! The wire codec: a compact, deterministic binary encoding plus a
-//! length-prefixed frame layer.
+//! The wire codec: every message is the compact JSON text of its
+//! `Serialize`/`Deserialize` schema — the same schema that writes
+//! `results/*.json` — inside a length-prefixed frame.
 //!
-//! The workspace's vendored serde stub serializes but cannot deserialize,
-//! so the distributed runner carries its own bincode-style codec. Encoding
-//! rules:
-//!
-//! - fixed-width integers are little-endian;
-//! - `usize` travels as `u64` (checked on decode);
-//! - `f64` travels as its IEEE-754 bit pattern (`to_bits`), so values
-//!   round-trip *exactly* — a requirement for byte-identical results;
-//! - `String`/`Vec` are a `u64` length followed by the elements;
-//! - `Option` is a presence byte followed by the value;
-//! - structs are their fields in declaration order (see [`wire_struct!`]);
-//! - enums are a `u32` discriminant followed by the variant's fields.
+//! - [`Wire::encode`] is `serde_json::to_string`; [`Wire::decode`] runs
+//!   `serde_json::from_str_typed` over the whole payload, so a malformed
+//!   or mistyped message fails with the JSON path of the offending node
+//!   (`Failover[0].outcomes[3].bounces: expected unsigned integer, …`).
+//! - Finite `f64`s round-trip bit for bit: the renderer prints the
+//!   shortest decimal that parses back to the same value. Non-finite
+//!   floats render as `null`, which an `f64` field rejects at decode, so
+//!   they fail loudly instead of changing across the wire.
+//! - Adding a field to a config or result type changes no encoding code.
 //!
 //! Frames are `u32` little-endian payload length + payload, capped at
 //! [`MAX_FRAME`] so a corrupt or hostile peer cannot make the receiver
@@ -22,6 +20,8 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use serde::{Deserialize, Serialize};
+
 /// Upper bound on a frame payload. A full eval-scale cell result is well
 /// under 1 MiB; 64 MiB leaves room for large-scale grids while still
 /// rejecting garbage length prefixes.
@@ -30,27 +30,21 @@ pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 /// Decoding failure: malformed bytes, not an I/O problem.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The buffer ended before the value was complete.
-    Truncated,
-    /// A length prefix exceeded [`MAX_FRAME`] or a sane element bound.
+    /// A frame header declared more than [`MAX_FRAME`] payload bytes.
     Oversized(u64),
-    /// An enum discriminant no decoder recognizes.
-    BadDiscriminant(u32),
-    /// Bytes were left over after the top-level value was decoded.
-    TrailingBytes(usize),
-    /// A value was syntactically valid but semantically impossible
-    /// (e.g. a non-UTF-8 string or a `usize` overflow on a 32-bit host).
-    Invalid(&'static str),
+    /// The payload is not UTF-8 text.
+    NotUtf8,
+    /// The payload is not JSON of the expected type; the message carries
+    /// the field path of the offending node.
+    Json(String),
 }
 
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::Truncated => write!(f, "truncated value"),
             WireError::Oversized(n) => write!(f, "length {n} exceeds frame bounds"),
-            WireError::BadDiscriminant(d) => write!(f, "unknown enum discriminant {d}"),
-            WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
-            WireError::Invalid(what) => write!(f, "invalid value: {what}"),
+            WireError::NotUtf8 => write!(f, "payload is not utf-8"),
+            WireError::Json(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -63,186 +57,37 @@ impl From<WireError> for io::Error {
     }
 }
 
-/// A type that can encode itself to bytes and decode itself back.
-///
-/// `decode` consumes from the front of the slice; the caller checks for
-/// trailing bytes at the top level (see [`decode_exact`]).
+/// A value that crosses the wire: implemented once, for every type with
+/// a `Serialize`/`Deserialize` schema.
 pub trait Wire: Sized {
+    /// Appends the value's compact JSON text to `out`.
     fn encode(&self, out: &mut Vec<u8>);
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError>;
+    /// Decodes a whole payload; trailing bytes are an error.
+    fn decode(payload: &[u8]) -> Result<Self, WireError>;
+}
+
+impl<T: Serialize + Deserialize> Wire for T {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let json = serde_json::to_string(self).expect("the vendored serializer is infallible");
+        out.extend_from_slice(json.as_bytes());
+    }
+
+    fn decode(payload: &[u8]) -> Result<Self, WireError> {
+        let text = std::str::from_utf8(payload).map_err(|_| WireError::NotUtf8)?;
+        serde_json::from_str_typed(text).map_err(|e| WireError::Json(e.to_string()))
+    }
 }
 
 /// Encodes a value to a fresh byte vector.
 pub fn encode_vec<T: Wire>(value: &T) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+    let mut out = Vec::new();
     value.encode(&mut out);
     out
 }
 
 /// Decodes a value, requiring the buffer to be fully consumed.
-pub fn decode_exact<T: Wire>(mut buf: &[u8]) -> Result<T, WireError> {
-    let v = T::decode(&mut buf)?;
-    if buf.is_empty() {
-        Ok(v)
-    } else {
-        Err(WireError::TrailingBytes(buf.len()))
-    }
-}
-
-fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
-    if buf.len() < n {
-        return Err(WireError::Truncated);
-    }
-    let (head, tail) = buf.split_at(n);
-    *buf = tail;
-    Ok(head)
-}
-
-macro_rules! impl_wire_int {
-    ($($t:ty),*) => {$(
-        impl Wire for $t {
-            fn encode(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
-            }
-
-            fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-                let bytes = take(buf, std::mem::size_of::<$t>())?;
-                Ok(<$t>::from_le_bytes(bytes.try_into().expect("sized take")))
-            }
-        }
-    )*};
-}
-
-impl_wire_int!(u8, u16, u32, u64, i64);
-
-impl Wire for usize {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u64).encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let v = u64::decode(buf)?;
-        usize::try_from(v).map_err(|_| WireError::Invalid("usize overflow"))
-    }
-}
-
-impl Wire for bool {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            d => Err(WireError::BadDiscriminant(d as u32)),
-        }
-    }
-}
-
-impl Wire for f64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.to_bits().encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(f64::from_bits(u64::decode(buf)?))
-    }
-}
-
-/// Length guard for decoded containers: a declared length may not exceed
-/// what the remaining buffer could possibly hold (one byte per element
-/// minimum), which bounds allocation before reading elements.
-fn checked_len(buf: &[u8], declared: u64) -> Result<usize, WireError> {
-    if declared > MAX_FRAME as u64 || declared > buf.len() as u64 {
-        return Err(WireError::Oversized(declared));
-    }
-    Ok(declared as usize)
-}
-
-impl Wire for String {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.len().encode(out);
-        out.extend_from_slice(self.as_bytes());
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let len = u64::decode(buf)?;
-        let len = checked_len(buf, len)?;
-        let bytes = take(buf, len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Invalid("non-utf8 string"))
-    }
-}
-
-impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(buf)?)),
-            d => Err(WireError::BadDiscriminant(d as u32)),
-        }
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.len().encode(out);
-        for item in self {
-            item.encode(out);
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let len = u64::decode(buf)?;
-        let len = checked_len(buf, len)?;
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(T::decode(buf)?);
-        }
-        Ok(v)
-    }
-}
-
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok((A::decode(buf)?, B::decode(buf)?))
-    }
-}
-
-/// Implements [`Wire`] for a struct by encoding its named fields in order.
-/// The struct's fields must all be `pub` (the impls live outside the
-/// defining crates) and themselves implement `Wire`. Exported so sibling
-/// crates (`bobw-serve`) can define wire types of their own.
-#[macro_export]
-macro_rules! wire_struct {
-    ($ty:path { $($field:ident),+ $(,)? }) => {
-        impl $crate::wire::Wire for $ty {
-            fn encode(&self, out: &mut Vec<u8>) {
-                $(self.$field.encode(out);)+
-            }
-
-            fn decode(buf: &mut &[u8]) -> Result<Self, $crate::wire::WireError> {
-                Ok(Self {
-                    $($field: $crate::wire::Wire::decode(buf)?,)+
-                })
-            }
-        }
-    };
+pub fn decode_exact<T: Wire>(payload: &[u8]) -> Result<T, WireError> {
+    T::decode(payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -304,110 +149,77 @@ pub fn recv<R: Read, T: Wire>(r: &mut R) -> io::Result<Option<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
-        let bytes = encode_vec(&v);
-        assert_eq!(decode_exact::<T>(&bytes).unwrap(), v);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Any finite `f64` bit pattern — subnormals, huge integral
+        /// values and `-0.0` included — comes back with identical bits.
+        #[test]
+        fn finite_floats_round_trip_bit_exactly(bits in any::<u64>()) {
+            let v = f64::from_bits(bits);
+            if v.is_finite() {
+                let back: f64 = decode_exact(&encode_vec(&v)).unwrap();
+                prop_assert_eq!(back.to_bits(), bits);
+            }
+        }
     }
 
     #[test]
-    fn primitives_round_trip() {
-        round_trip(0u8);
-        round_trip(u8::MAX);
-        round_trip(0x1234u16);
-        round_trip(0xdead_beefu32);
-        round_trip(u64::MAX);
-        round_trip(-42i64);
-        round_trip(true);
-        round_trip(false);
-        round_trip(usize::MAX);
-    }
-
-    #[test]
-    fn floats_round_trip_bit_exactly() {
+    fn float_edge_cases_round_trip_bit_exactly() {
         for v in [
             0.0,
             -0.0,
-            1.5,
             f64::MIN_POSITIVE,
+            f64::from_bits(1),
             f64::MAX,
-            f64::NEG_INFINITY,
+            f64::MIN,
+            1e15,
+            -9_007_199_254_740_992.0,
+            1e300,
             std::f64::consts::PI,
         ] {
-            round_trip(v);
+            let back: f64 = decode_exact(&encode_vec(&v)).unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:e}");
         }
-        // NaN payload bits survive too (PartialEq fails on NaN, so compare
-        // the bit patterns directly).
-        let nan = f64::from_bits(0x7ff8_dead_beef_0001);
-        let bytes = encode_vec(&nan);
-        assert_eq!(
-            decode_exact::<f64>(&bytes).unwrap().to_bits(),
-            nan.to_bits()
-        );
     }
 
     #[test]
-    fn containers_round_trip() {
-        round_trip(String::from("hëllo wörld"));
-        round_trip(String::new());
-        round_trip(Option::<u32>::None);
-        round_trip(Some(7u32));
-        round_trip(vec![1u64, 2, 3]);
-        round_trip(Vec::<String>::new());
-        round_trip((3u8, String::from("x")));
-        round_trip(vec![(1u8, 2.5f64), (3, f64::INFINITY)]);
-    }
-
-    #[test]
-    fn truncated_values_error_cleanly() {
-        let bytes = encode_vec(&0x1122_3344u32);
-        for cut in 0..bytes.len() {
-            assert_eq!(
-                decode_exact::<u32>(&bytes[..cut]).unwrap_err(),
-                WireError::Truncated,
-                "cut at {cut}"
+    fn non_finite_floats_fail_to_decode() {
+        for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let bytes = encode_vec(&vec![1.0, v]);
+            let err = decode_exact::<Vec<f64>>(&bytes).unwrap_err();
+            assert!(
+                err.to_string().contains("[1]: expected number, got null"),
+                "{err}"
             );
         }
-        // A string whose declared length exceeds the remaining bytes.
-        let mut evil = Vec::new();
-        1000u64.encode(&mut evil);
-        evil.extend_from_slice(b"short");
+    }
+
+    #[test]
+    fn malformed_payloads_are_typed_errors() {
+        let bytes = encode_vec(&(7u32, String::from("hëllo")));
+        assert_eq!(decode_exact::<(u32, String)>(&bytes).unwrap().1, "hëllo");
+        for cut in 0..bytes.len() {
+            assert!(matches!(
+                decode_exact::<(u32, String)>(&bytes[..cut]),
+                Err(WireError::Json(_)) | Err(WireError::NotUtf8)
+            ));
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(b'1');
         assert!(matches!(
-            decode_exact::<String>(&evil).unwrap_err(),
-            WireError::Oversized(1000)
+            decode_exact::<(u32, String)>(&trailing),
+            Err(WireError::Json(_))
         ));
-    }
-
-    #[test]
-    fn oversized_vec_length_is_rejected_before_allocating() {
-        let mut evil = Vec::new();
-        (u64::MAX).encode(&mut evil);
-        assert!(matches!(
-            decode_exact::<Vec<u64>>(&evil).unwrap_err(),
-            WireError::Oversized(_)
-        ));
-    }
-
-    #[test]
-    fn trailing_bytes_are_an_error() {
-        let mut bytes = encode_vec(&5u32);
-        bytes.push(0xff);
         assert_eq!(
-            decode_exact::<u32>(&bytes).unwrap_err(),
-            WireError::TrailingBytes(1)
+            decode_exact::<u32>(&[0xff, 0xfe]).unwrap_err(),
+            WireError::NotUtf8
         );
-    }
-
-    #[test]
-    fn bad_discriminants_are_an_error() {
-        assert_eq!(
-            decode_exact::<bool>(&[7]).unwrap_err(),
-            WireError::BadDiscriminant(7)
-        );
-        assert_eq!(
-            decode_exact::<Option<u8>>(&[9]).unwrap_err(),
-            WireError::BadDiscriminant(9)
-        );
+        // A value out of range for the declared type.
+        assert!(decode_exact::<u8>(b"256").is_err());
+        assert!(decode_exact::<bool>(b"7").is_err());
     }
 
     #[test]

@@ -273,8 +273,8 @@ fn handshake_rejects_clients_and_garbage() {
         HelloReply::Welcome => panic!("client greeting must be rejected by a batch coordinator"),
     }
 
-    // Garbage greeting: an unknown discriminant. The server must drop the
-    // connection without welcoming anything.
+    // Garbage greeting: bytes that are not JSON at all. The server must
+    // drop the connection without welcoming anything.
     let mut conn = serve_at.connect().unwrap();
     let _: Challenge = bobw_dist::wire::recv(&mut conn)
         .unwrap()

@@ -7,7 +7,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// An IPv4 address as a 32-bit integer (`a.b.c.d` == `a<<24 | b<<16 | c<<8 | d`).
 pub type Ipv4Net = u32;
@@ -56,7 +56,7 @@ impl std::error::Error for PrefixParseError {}
 /// Ordering sorts by network address first and then by length, so more
 /// specific prefixes of the same network sort *after* their covering
 /// prefixes — convenient for stable output in reports.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Prefix {
     bits: u32,
     len: u8,
@@ -179,6 +179,22 @@ impl Prefix {
     }
 }
 
+/// Hand-written so a decoded prefix keeps the invariant [`Prefix::new`]
+/// asserts: a derived impl would accept any `len` and stray host bits.
+impl Deserialize for Prefix {
+    fn from_value(v: &Value) -> Result<Prefix, DeError> {
+        let bits: u32 = serde::de::field(v, "bits")?;
+        let len: u8 = serde::de::field(v, "len")?;
+        if len > 32 {
+            return Err(DeError::new(format!("prefix length {len} > 32")).in_field("len"));
+        }
+        if bits & !Prefix::mask(len) != 0 {
+            return Err(DeError::new(PrefixParseError::HostBitsSet.to_string()));
+        }
+        Ok(Prefix { bits, len })
+    }
+}
+
 impl fmt::Display for Prefix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let b = self.bits;
@@ -286,6 +302,16 @@ mod tests {
             Err(PrefixParseError::HostBitsSet)
         );
         assert_eq!("".parse::<Prefix>(), Err(PrefixParseError::Malformed));
+    }
+
+    #[test]
+    fn deserialize_rejects_impossible_prefixes() {
+        let q = p("184.164.244.0/23");
+        let json = serde_json::to_string(&q).unwrap();
+        assert_eq!(serde_json::from_str_typed::<Prefix>(&json).unwrap(), q);
+        for bad in [r#"{"bits":0,"len":40}"#, r#"{"bits":1,"len":24}"#] {
+            assert!(serde_json::from_str_typed::<Prefix>(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

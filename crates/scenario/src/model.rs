@@ -304,9 +304,19 @@ impl Scenario {
                     finite_nonneg(i, "ramp_s", *ramp_s)?;
                     finite_nonneg(i, "duration_s", *duration_s)?;
                 }
-                ScenarioAction::DemandShift { factor, .. }
-                | ScenarioAction::CapacityChange { factor, .. } => {
+                ScenarioAction::DemandShift { factor, .. } => {
                     finite_nonneg(i, "factor", *factor)?;
+                }
+                // A zero capacity would make utilization `load / 0` = +inf,
+                // which no result float can carry; same rule as
+                // `TrafficConfig::region_capacity`.
+                ScenarioAction::CapacityChange { factor, .. }
+                    if !factor.is_finite() || *factor <= 0.0 =>
+                {
+                    return Err(ScenarioError::at(
+                        i,
+                        format!("factor must be finite and > 0, got {factor}"),
+                    ));
                 }
                 ScenarioAction::Scrub {
                     capacity_factor,
@@ -472,6 +482,37 @@ mod tests {
             err.contains("events[0]") && err.contains("overlap"),
             "{err}"
         );
+    }
+
+    /// A site cannot drop to zero capacity: its utilization would be
+    /// +inf, which no result float carries across the wire or into JSON.
+    #[test]
+    fn capacity_change_requires_a_positive_finite_factor() {
+        let mut s = Scenario::site_failure(2.0, 0);
+        for (factor, ok) in [
+            (0.5, true),
+            (0.0, false),
+            (-1.0, false),
+            (f64::INFINITY, false),
+        ] {
+            s.events.insert(
+                0,
+                ScenarioEvent {
+                    at_s: 5.0,
+                    action: ScenarioAction::CapacityChange {
+                        site: "$site".into(),
+                        factor,
+                    },
+                },
+            );
+            let res = s.validate();
+            assert_eq!(res.is_ok(), ok, "factor {factor}: {res:?}");
+            if let Err(err) = res {
+                let err = err.to_string();
+                assert!(err.contains("events[0]") && err.contains("> 0"), "{err}");
+            }
+            s.events.remove(0);
+        }
     }
 
     #[test]

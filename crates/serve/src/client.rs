@@ -134,8 +134,7 @@ impl ServeClient {
     /// All jobs the daemon knows, as typed rows.
     pub fn jobs(&mut self) -> Result<Vec<crate::job::JobRow>, String> {
         match self.call(&ClientRequest::Jobs)? {
-            ClientReply::Jobs { rows_json } => serde_json::from_str_typed(&rows_json)
-                .map_err(|e| format!("bad job listing from daemon: {e}")),
+            ClientReply::Jobs { rows } => Ok(rows),
             ClientReply::Error { message } => Err(message),
             other => Err(format!("unexpected reply to jobs: {other:?}")),
         }

@@ -380,8 +380,7 @@ fn serve_client(reader: &mut Conn, writer: &mut Conn, shared: &Arc<Shared>) {
                     let table = shared.table.lock().unwrap();
                     table.jobs.iter().map(|(id, j)| j.row(*id)).collect()
                 };
-                let rows_json = serde_json::to_string(&rows).expect("rows serialize");
-                send(writer, &ClientReply::Jobs { rows_json }).is_ok()
+                send(writer, &ClientReply::Jobs { rows }).is_ok()
             }
             ClientRequest::Watch { job_id } => stream_job(writer, shared, job_id),
             ClientRequest::Status => {
@@ -578,16 +577,16 @@ fn persist_task(shared: &Shared, id: u64, job: &Job) {
             config: job.config.clone(),
             cells: job.cells.clone(),
         };
-        if let Err(e) = std::fs::write(dir.join(format!("job-{id}.task.bin")), encode_vec(&task)) {
+        if let Err(e) = std::fs::write(dir.join(format!("job-{id}.task.json")), encode_vec(&task)) {
             eprintln!("[serve] failed to persist job {id} task: {e}");
         }
     }
 }
 
-#[allow(clippy::ptr_arg)] // encode_vec needs the Vec impl of Wire
+#[allow(clippy::ptr_arg)] // encode_vec needs a sized value
 fn persist_results(shared: &Shared, id: u64, outputs: &Vec<CellOutput>) {
     if let Some(dir) = &shared.state_dir {
-        let path = dir.join(format!("job-{id}.results.bin"));
+        let path = dir.join(format!("job-{id}.results.json"));
         if let Err(e) = std::fs::write(path, encode_vec(outputs)) {
             eprintln!("[serve] failed to persist job {id} results: {e}");
         }
@@ -618,7 +617,7 @@ fn load_state(dir: &Path, table: &mut Table) {
             eprintln!("[serve] skipping unreadable metadata for job {id}");
             continue;
         };
-        let Ok(task_bytes) = std::fs::read(dir.join(format!("job-{id}.task.bin"))) else {
+        let Ok(task_bytes) = std::fs::read(dir.join(format!("job-{id}.task.json"))) else {
             eprintln!("[serve] skipping job {id}: no persisted task");
             continue;
         };
@@ -638,7 +637,7 @@ fn load_state(dir: &Path, table: &mut Table) {
         };
         match state {
             JobState::Done => {
-                let results = std::fs::read(dir.join(format!("job-{id}.results.bin")))
+                let results = std::fs::read(dir.join(format!("job-{id}.results.json")))
                     .ok()
                     .and_then(|bytes| decode_exact::<Vec<CellOutput>>(&bytes).ok());
                 match results {

@@ -9,12 +9,13 @@
 //! [`ClientReply::JobDone`].
 
 use bobw_core::ExperimentConfig;
-use bobw_dist::wire::{Wire, WireError};
-use bobw_dist::wire_struct;
 use bobw_dist::{CellOutput, CellSpec};
+use serde::{Deserialize, Serialize};
+
+use crate::job::JobRow;
 
 /// Lifecycle of a submitted job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JobState {
     /// Waiting for the scheduler (FIFO by job id).
     Queued,
@@ -48,24 +49,8 @@ impl JobState {
     }
 }
 
-impl Wire for JobState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u32).encode(out);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u32::decode(buf)? {
-            0 => JobState::Queued,
-            1 => JobState::Running,
-            2 => JobState::Done,
-            3 => JobState::Failed,
-            d => return Err(WireError::BadDiscriminant(d)),
-        })
-    }
-}
-
 /// What a welcomed client may ask the daemon.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ClientRequest {
     /// Submit a job described by a [`crate::job::JobSpec`] JSON document;
     /// the daemon expands it to a cell grid.
@@ -92,7 +77,7 @@ pub enum ClientRequest {
 }
 
 /// Daemon → client replies.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ClientReply {
     /// The request failed; the connection stays usable.
     Error {
@@ -101,9 +86,8 @@ pub enum ClientReply {
     Submitted {
         job_id: u64,
     },
-    /// JSON array of [`crate::job::JobRow`].
     Jobs {
-        rows_json: String,
+        rows: Vec<JobRow>,
     },
     /// One completed cell of a watched job (completion order). Boxed to
     /// keep the enum small next to the result payload.
@@ -130,151 +114,40 @@ pub enum ClientReply {
     Bye,
 }
 
-impl Wire for ClientRequest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ClientRequest::Submit { spec_json } => {
-                0u32.encode(out);
-                spec_json.encode(out);
-            }
-            ClientRequest::SubmitRaw {
-                name,
-                config,
-                cells,
-            } => {
-                1u32.encode(out);
-                name.encode(out);
-                config.encode(out);
-                cells.encode(out);
-            }
-            ClientRequest::Jobs => 2u32.encode(out),
-            ClientRequest::Watch { job_id } => {
-                3u32.encode(out);
-                job_id.encode(out);
-            }
-            ClientRequest::Status => 4u32.encode(out),
-            ClientRequest::Matrix => 5u32.encode(out),
-            ClientRequest::Quit => 6u32.encode(out),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u32::decode(buf)? {
-            0 => ClientRequest::Submit {
-                spec_json: String::decode(buf)?,
-            },
-            1 => ClientRequest::SubmitRaw {
-                name: String::decode(buf)?,
-                config: Box::new(ExperimentConfig::decode(buf)?),
-                cells: Vec::decode(buf)?,
-            },
-            2 => ClientRequest::Jobs,
-            3 => ClientRequest::Watch {
-                job_id: u64::decode(buf)?,
-            },
-            4 => ClientRequest::Status,
-            5 => ClientRequest::Matrix,
-            6 => ClientRequest::Quit,
-            d => return Err(WireError::BadDiscriminant(d)),
-        })
-    }
-}
-
-impl Wire for ClientReply {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ClientReply::Error { message } => {
-                0u32.encode(out);
-                message.encode(out);
-            }
-            ClientReply::Submitted { job_id } => {
-                1u32.encode(out);
-                job_id.encode(out);
-            }
-            ClientReply::Jobs { rows_json } => {
-                2u32.encode(out);
-                rows_json.encode(out);
-            }
-            ClientReply::Cell {
-                job_id,
-                cell_index,
-                output,
-            } => {
-                3u32.encode(out);
-                job_id.encode(out);
-                cell_index.encode(out);
-                output.encode(out);
-            }
-            ClientReply::JobDone {
-                job_id,
-                state,
-                error,
-            } => {
-                4u32.encode(out);
-                job_id.encode(out);
-                state.encode(out);
-                error.encode(out);
-            }
-            ClientReply::Status { json } => {
-                5u32.encode(out);
-                json.encode(out);
-            }
-            ClientReply::Matrix { json } => {
-                6u32.encode(out);
-                json.encode(out);
-            }
-            ClientReply::Bye => 7u32.encode(out),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u32::decode(buf)? {
-            0 => ClientReply::Error {
-                message: String::decode(buf)?,
-            },
-            1 => ClientReply::Submitted {
-                job_id: u64::decode(buf)?,
-            },
-            2 => ClientReply::Jobs {
-                rows_json: String::decode(buf)?,
-            },
-            3 => ClientReply::Cell {
-                job_id: u64::decode(buf)?,
-                cell_index: u64::decode(buf)?,
-                output: Box::new(CellOutput::decode(buf)?),
-            },
-            4 => ClientReply::JobDone {
-                job_id: u64::decode(buf)?,
-                state: JobState::decode(buf)?,
-                error: Option::decode(buf)?,
-            },
-            5 => ClientReply::Status {
-                json: String::decode(buf)?,
-            },
-            6 => ClientReply::Matrix {
-                json: String::decode(buf)?,
-            },
-            7 => ClientReply::Bye,
-            d => return Err(WireError::BadDiscriminant(d)),
-        })
-    }
-}
-
-/// The replayable essence of a job, persisted to `--state-dir` as wire
-/// bytes (`job-<id>.task.bin`) so a restarted daemon re-runs exactly the
-/// batch that was submitted — same config, same cell order.
-#[derive(Debug, Clone)]
+/// The replayable essence of a job, persisted to `--state-dir` in the
+/// wire's JSON (`job-<id>.task.json`) so a restarted daemon re-runs
+/// exactly the batch that was submitted — same config, same cell order.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobTask {
     pub config: ExperimentConfig,
     pub cells: Vec<CellSpec>,
 }
 
-wire_struct!(JobTask { config, cells });
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bobw_dist::wire::{decode_exact, encode_vec};
+    use bobw_dist::wire::{decode_exact, encode_vec, Wire};
+
+    /// Decodes `value`'s payload and checks it re-encodes to the same
+    /// bytes; returns the decoded copy.
+    fn reencode<T: Wire>(value: &T) -> T {
+        let bytes = encode_vec(value);
+        let back: T = decode_exact(&bytes).unwrap();
+        assert_eq!(encode_vec(&back), bytes);
+        back
+    }
+
+    fn real_cell() -> (ExperimentConfig, CellSpec, CellOutput) {
+        let mut config = ExperimentConfig::quick(3);
+        config.targets_per_site = 10;
+        let tb = bobw_core::Testbed::new(config.clone());
+        let cell = CellSpec::Failover {
+            technique: "reactive-anycast".into(),
+            site: "bos".into(),
+        };
+        let output = bobw_dist::execute_cell(&tb, &cell).unwrap();
+        (config, cell, output)
+    }
 
     #[test]
     fn requests_round_trip() {
@@ -297,8 +170,7 @@ mod tests {
             ClientRequest::Quit,
         ];
         for req in &reqs {
-            let bytes = encode_vec(req);
-            let back: ClientRequest = decode_exact(&bytes).unwrap();
+            let back = reencode(req);
             // The config has no PartialEq; compare debug skeletons.
             assert_eq!(
                 std::mem::discriminant(req),
@@ -315,9 +187,7 @@ mod tests {
                 message: "no".into(),
             },
             ClientReply::Submitted { job_id: 3 },
-            ClientReply::Jobs {
-                rows_json: "[]".into(),
-            },
+            ClientReply::Jobs { rows: Vec::new() },
             ClientReply::JobDone {
                 job_id: 3,
                 state: JobState::Failed,
@@ -328,8 +198,7 @@ mod tests {
             ClientReply::Bye,
         ];
         for reply in &replies {
-            let bytes = encode_vec(reply);
-            let back: ClientReply = decode_exact(&bytes).unwrap();
+            let back = reencode(reply);
             assert_eq!(
                 std::mem::discriminant(reply),
                 std::mem::discriminant(&back),
@@ -346,10 +215,29 @@ mod tests {
             JobState::Done,
             JobState::Failed,
         ] {
-            let bytes = encode_vec(&state);
-            assert_eq!(decode_exact::<JobState>(&bytes).unwrap(), state);
+            assert_eq!(reencode(&state), state);
             assert_eq!(JobState::parse(state.as_str()), Some(state));
         }
         assert_eq!(JobState::parse("weird"), None);
+    }
+
+    #[test]
+    fn real_cells_reencode_identically() {
+        let (config, cell, output) = real_cell();
+        reencode(&ClientRequest::SubmitRaw {
+            name: "bench".into(),
+            config: Box::new(config.clone()),
+            cells: vec![cell.clone()],
+        });
+        reencode(&ClientReply::Cell {
+            job_id: 1,
+            cell_index: 0,
+            output: Box::new(output.clone()),
+        });
+        reencode(&JobTask {
+            config,
+            cells: vec![cell],
+        });
+        reencode(&vec![output]);
     }
 }

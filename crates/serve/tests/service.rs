@@ -432,3 +432,62 @@ fn spec_submission_expands_and_runs() {
     handle.join();
     worker.join().unwrap();
 }
+
+/// Completes a client handshake by hand and returns the raw connection.
+fn welcomed_connection(endpoint: &Endpoint) -> bobw_dist::Conn {
+    let mut conn = endpoint.connect().unwrap();
+    let _: Challenge = bobw_dist::wire::recv(&mut conn)
+        .unwrap()
+        .expect("challenge");
+    let hello = Greeting::Client(bobw_dist::ClientHello {
+        protocol: PROTOCOL_VERSION,
+        client_name: "fuzzer".to_string(),
+        auth: Vec::new(),
+    });
+    bobw_dist::wire::send(&mut conn, &hello).unwrap();
+    match bobw_dist::wire::recv::<_, HelloReply>(&mut conn).unwrap() {
+        Some(HelloReply::Welcome) => conn,
+        other => panic!("client not welcomed: {other:?}"),
+    }
+}
+
+/// Input from the wire never takes the daemon down: a welcomed client
+/// sending garbage gets an `Error` reply or a dropped connection, and the
+/// daemon keeps serving other clients.
+#[test]
+fn garbage_client_frames_never_take_the_daemon_down() {
+    let _guard = serial();
+    let handle = daemon::start(open_serve_config()).expect("daemon");
+    let endpoint = handle.endpoint().clone();
+
+    let watch = bobw_dist::wire::encode_vec(&bobw_serve::ClientRequest::Watch { job_id: 7 });
+    let deep_spec = bobw_dist::wire::encode_vec(&bobw_serve::ClientRequest::Submit {
+        spec_json: "[".repeat(100_000),
+    });
+    let frames: [(&str, Vec<u8>); 5] = [
+        ("non-utf8", vec![0xff, 0xfe, 0x00, 0x80]),
+        ("truncated json", watch[..watch.len() / 2].to_vec()),
+        ("unknown variant", br#"{"Reboot":{"now":true}}"#.to_vec()),
+        ("deep frame", "[".repeat(100_000).into_bytes()),
+        ("deep spec_json", deep_spec),
+    ];
+    for (what, frame) in frames {
+        let mut conn = welcomed_connection(&endpoint);
+        bobw_dist::wire::write_frame(&mut conn, &frame).unwrap();
+        match bobw_dist::wire::recv::<_, bobw_serve::ClientReply>(&mut conn) {
+            Ok(Some(bobw_serve::ClientReply::Error { message })) => {
+                assert!(message.contains("nesting"), "{what}: {message}")
+            }
+            Ok(None) | Err(_) => assert_ne!(what, "deep spec_json", "a bad spec gets an error"),
+            Ok(Some(reply)) => panic!("{what}: unexpected reply {reply:?}"),
+        }
+        let mut client = ServeClient::connect(&endpoint, "after-garbage", None).expect("client");
+        assert!(client.jobs().expect("jobs").is_empty(), "{what}");
+    }
+
+    ServeClient::connect(&endpoint, "quitter", None)
+        .expect("client")
+        .quit()
+        .expect("quit");
+    handle.join();
+}
