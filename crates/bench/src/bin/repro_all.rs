@@ -10,13 +10,12 @@ use bobw_bench::appendix::{
     announcement_propagation_instrumented, withdrawal_convergence_instrumented,
 };
 use bobw_bench::{
-    compute_appc1, compute_table1_dispatch, parse_cli, primed_testbed, run_cells,
-    run_failover_grid_dispatch, run_or_exit, write_json, CellRecord, PerfLog, Scale,
-    TechniqueSeries,
+    compute_appc1, compute_table1_dispatch, parse_cli, run_cells, run_failover_grid_dispatch,
+    run_or_exit, write_json, CellRecord, PerfLog, Scale, TechniqueSeries,
 };
 use bobw_core::{
     derive_tradeoffs, run_unicast_dns_failover, CellPerf, DnsClientConfig, MeasuredTechnique,
-    Technique,
+    Technique, Testbed,
 };
 use bobw_dns::{ClientPopulation, DnsFailoverConfig};
 use bobw_event::RngFactory;
@@ -32,15 +31,8 @@ fn push_study_cells(
     ps: Vec<CellPerf>,
 ) {
     for p in ps {
-        perf.cells.push(CellRecord {
-            technique: study.to_string(),
-            site: population.to_string(),
-            seed,
-            events_processed: p.events_processed,
-            peak_queue_depth: p.peak_queue_depth,
-            queue_capacity: p.queue_capacity,
-            wall_micros: p.wall_micros,
-        });
+        perf.cells
+            .push(CellRecord::new(study, population, seed, &p));
     }
 }
 
@@ -48,7 +40,7 @@ fn main() {
     let cli = parse_cli();
     let mut dispatch = cli.dispatch();
     let cfg = cli.scale.config(cli.seed);
-    let testbed = primed_testbed(&cli);
+    let testbed = Testbed::new(cfg.clone());
     // Perf counters from every stage; summarized at the end of
     // SUMMARY.md and dumped to BENCH_repro_all.json (NOT under results/,
     // whose JSON must be byte-identical across --jobs and hosts).

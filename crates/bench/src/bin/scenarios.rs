@@ -16,10 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use bobw_bench::{
-    load_queue_hints, parse_cli, run_or_exit, write_json, CellRecord, PerfLog, TechniqueSeries,
-    BASELINE_FILE,
-};
+use bobw_bench::{parse_cli, run_or_exit, write_json, CellRecord, PerfLog, TechniqueSeries};
 use bobw_core::{FailoverResult, SessionModel, Technique, Testbed};
 use bobw_dist::{CellOutput, CellSpec};
 use bobw_measure::{cdf_row, percent};
@@ -62,7 +59,6 @@ fn main() {
     }
     let mut techniques = Technique::figure2_set();
     techniques.push(Technique::Combined);
-    let hints = load_queue_hints(BASELINE_FILE, cli.scale);
 
     let mut perf = PerfLog::new(cli.jobs);
     perf.scale = cli.scale.name().to_string();
@@ -119,8 +115,7 @@ fn main() {
             cfg.timing.flap_damping = Some(bobw_bgp::DampingConfig::default());
         }
         cfg.scenario = Some(scenario.clone());
-        let mut tb = Testbed::new(cfg);
-        tb.prime_queue_hints(hints.clone());
+        let tb = Testbed::new(cfg);
         // "$site" fans the scenario over every site, like the paper grid;
         // a concrete site name pins it (e.g. a regional partition around
         // one deployment).
@@ -148,15 +143,12 @@ fn main() {
                 run_or_exit::<()>(Err(format!("cell {i}: control output for a failover cell")));
                 unreachable!();
             };
-            perf.cells.push(CellRecord {
-                technique: techniques[ti].name(),
-                site: result.site_name.clone(),
-                seed: tb.cfg.seed,
-                events_processed: p.events_processed,
-                peak_queue_depth: p.peak_queue_depth,
-                queue_capacity: p.queue_capacity,
-                wall_micros: p.wall_micros,
-            });
+            perf.cells.push(CellRecord::new(
+                &techniques[ti].name(),
+                &result.site_name,
+                tb.cfg.seed,
+                &p,
+            ));
             grouped[ti].push(result);
         }
         let series: Vec<TechniqueSeries> = techniques

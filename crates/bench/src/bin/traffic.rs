@@ -21,8 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use bobw_bench::{
-    load_queue_hints, parse_cli, run_or_exit, write_json, CellRecord, PerfLog,
-    WeightedTechniqueSeries, BASELINE_FILE,
+    parse_cli, run_or_exit, write_json, CellRecord, PerfLog, WeightedTechniqueSeries,
 };
 use bobw_core::{FailoverResult, Technique, Testbed, TrafficConfig};
 use bobw_dist::{CellOutput, CellSpec};
@@ -91,7 +90,6 @@ fn main() {
         Technique::ReactiveAnycast,
         Technique::Combined,
     ];
-    let hints = load_queue_hints(BASELINE_FILE, cli.scale);
 
     let mut perf = PerfLog::new(cli.jobs);
     perf.scale = cli.scale.name().to_string();
@@ -128,8 +126,7 @@ fn main() {
         let mut cfg = cli.scale.config(cli.seed);
         cfg.scenario = Some(scenario.clone());
         cfg.traffic = Some(TrafficConfig::default());
-        let mut tb = Testbed::new(cfg);
-        tb.prime_queue_hints(hints.clone());
+        let tb = Testbed::new(cfg);
         let sites: Vec<String> = if scenario.site == "$site" {
             tb.cdn.sites().map(|s| tb.cdn.name(s).to_string()).collect()
         } else {
@@ -154,15 +151,12 @@ fn main() {
                 run_or_exit::<()>(Err(format!("cell {i}: control output for a failover cell")));
                 unreachable!();
             };
-            perf.cells.push(CellRecord {
-                technique: techniques[ti].name(),
-                site: result.site_name.clone(),
-                seed: tb.cfg.seed,
-                events_processed: p.events_processed,
-                peak_queue_depth: p.peak_queue_depth,
-                queue_capacity: p.queue_capacity,
-                wall_micros: p.wall_micros,
-            });
+            perf.cells.push(CellRecord::new(
+                &techniques[ti].name(),
+                &result.site_name,
+                tb.cfg.seed,
+                &p,
+            ));
             grouped[ti].push(result);
         }
         let series: Vec<WeightedTechniqueSeries> = techniques

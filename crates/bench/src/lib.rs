@@ -3,22 +3,22 @@
 //! The benchmark harness that regenerates every table and figure of the
 //! paper's evaluation (see DESIGN.md §4 for the experiment index):
 //!
-//! | binary | paper artifact |
+//! | binary | output |
 //! |---|---|
-//! | `fig2` | Figure 2 — reconnection & failover CDFs per technique |
-//! | `table1` | Table 1 — traffic control under prepending |
-//! | `table2` | Table 2 — control/availability/risk matrix |
-//! | `fig3` | Appendix A / Figure 3 — withdrawal convergence |
-//! | `fig4` | Appendix B / Figure 4 — announcement propagation |
-//! | `fig5` | Appendix C.2 / Figure 5 — prepend 3 vs 5 |
-//! | `appc1` | Appendix C.1 — divergence classification |
+//! | `repro_all` | Figures 2–5, Tables 1–2, Appendix C.1 and the DNS baseline, plus a markdown summary |
 //! | `superprefix_survey` | §3 — covering-prefix survey pipeline |
 //! | `unicast_dns` | §1/§2 — DNS-bound unicast failover baseline |
-//! | `repro_all` | everything above, plus a markdown summary |
+//! | `hybrid_unicast` | §3 — unicast for poorly served clients only |
+//! | `ablation` | design-choice ablations (WRATE, MRAI, damping, …) |
+//! | `routing_history` | Appendix A — collector-data discovery pipeline |
+//! | `stability` | §5.4.1 — Figure 2's headline across several seeds |
+//! | `scenarios` | every technique under every fault-scenario catalog entry |
+//! | `traffic` | techniques × load scenarios with the traffic layer on |
 //! | `calibrate` | raw timing-model calibration check |
+//! | `bench_gate` | perf gate: `BENCH_repro_all.json` vs `BENCH_baseline.json` |
 //!
-//! Every binary accepts `--scale quick|eval|large` (default `eval`),
-//! `--seed N`, `--jobs N` (worker threads, default: available
+//! Every experiment binary accepts `--scale quick|eval|large` (default
+//! `eval`), `--seed N`, `--jobs N` (worker threads, default: available
 //! parallelism) and `--dispatch local|tcp://…|unix://…` (serve the cell
 //! grid to remote `bobw-worker` processes — see EXPERIMENTS.md), and
 //! writes machine-readable JSON next to its stdout report (under
@@ -87,9 +87,10 @@ pub struct Cli {
     /// parallelism). Any value produces byte-identical result JSON.
     pub jobs: usize,
     /// Endpoint to serve cells on (`--dispatch tcp://…|unix://…` or
-    /// `--listen …`). `None` (or `--dispatch local`) runs cells on `jobs`
-    /// local threads. Either way the result JSON is byte-identical.
-    pub listen: Option<String>,
+    /// `--dispatch daemon:<url>`). `None` (or `--dispatch local`) runs
+    /// cells on `jobs` local threads. Either way the result JSON is
+    /// byte-identical.
+    pub dispatch_url: Option<String>,
     /// Fault-scenario catalog directory (`scenarios` bin only).
     pub catalog: PathBuf,
 }
@@ -101,7 +102,7 @@ impl Default for Cli {
             seed: 42,
             out_dir: PathBuf::from("results"),
             jobs: default_jobs(),
-            listen: None,
+            dispatch_url: None,
             catalog: PathBuf::from(bobw_scenario::CATALOG_DIR),
         }
     }
@@ -113,7 +114,7 @@ impl Cli {
     /// worker availability, so a hint telling the operator how to attach
     /// workers is printed. Exits on a malformed URL or a failed bind.
     pub fn dispatch(&self) -> Dispatch {
-        match &self.listen {
+        match &self.dispatch_url {
             None => Dispatch::local(self.jobs),
             Some(arg) => {
                 let d = Dispatch::from_arg(arg, self.jobs).unwrap_or_else(|e| {
@@ -134,61 +135,13 @@ impl Cli {
             }
         }
     }
-
-    /// Applies the `BOBW_JOBS` / `BOBW_DISPATCH` environment overrides —
-    /// the runner knobs for harnesses that own `argv` (the criterion
-    /// benches, examples run under `cargo run --example`). Explicit
-    /// `--jobs`/`--dispatch` flags win because [`parse_cli`] applies the
-    /// environment before parsing. Malformed values warn and are ignored
-    /// rather than aborting: a stray variable must not kill a bench run.
-    pub fn apply_env(&mut self) {
-        if let Ok(v) = std::env::var("BOBW_JOBS") {
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => self.jobs = n,
-                _ => eprintln!("warning: ignoring BOBW_JOBS={v:?} (need an integer >= 1)"),
-            }
-        }
-        if let Ok(v) = std::env::var("BOBW_DISPATCH") {
-            self.listen = if v == "local" || v.is_empty() {
-                None
-            } else {
-                Some(v)
-            };
-        }
-    }
 }
 
-/// [`Dispatch`] for criterion benches, honoring `BOBW_JOBS` and
-/// `BOBW_DISPATCH` (criterion owns `argv`, so the usual flags cannot reach
-/// those harnesses). Defaults to one local worker thread — not available
-/// parallelism — so microbenchmark timings stay comparable run to run
-/// unless the operator explicitly opts into parallel or remote cells.
-pub fn env_dispatch() -> Dispatch {
-    let mut cli = Cli {
-        jobs: 1,
-        ..Cli::default()
-    };
-    cli.apply_env();
-    cli.dispatch()
-}
-
-/// The jobs count criterion benches should pass to helpers that take a
-/// plain thread count (`BOBW_JOBS`, default 1 — see [`env_dispatch`]).
-pub fn env_jobs() -> usize {
-    let mut cli = Cli {
-        jobs: 1,
-        ..Cli::default()
-    };
-    cli.apply_env();
-    cli.jobs
-}
-
-/// Parses `--scale`, `--seed`, `--out`, `--jobs` from the process
-/// arguments; exits with a usage message on unknown flags. `BOBW_JOBS`
-/// and `BOBW_DISPATCH` seed the defaults (flags override).
+/// Parses `--scale`, `--seed`, `--out`, `--jobs`, `--dispatch` and
+/// `--catalog` from the process arguments; exits with a usage message on
+/// unknown flags.
 pub fn parse_cli() -> Cli {
     let mut cli = Cli::default();
-    cli.apply_env();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -234,13 +187,7 @@ pub fn parse_cli() -> Cli {
                     );
                     std::process::exit(2);
                 });
-                cli.listen = if v == "local" { None } else { Some(v) };
-            }
-            "--listen" => {
-                cli.listen = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--listen needs an endpoint URL (tcp://…|unix://…)");
-                    std::process::exit(2);
-                }));
+                cli.dispatch_url = if v == "local" { None } else { Some(v) };
             }
             "--catalog" => {
                 cli.catalog = PathBuf::from(args.next().unwrap_or_else(|| {
@@ -251,57 +198,13 @@ pub fn parse_cli() -> Cli {
             other => {
                 eprintln!(
                     "unknown flag {other:?}; supported: --scale --seed --out --jobs \
-                     --dispatch --listen --catalog"
+                     --dispatch --catalog"
                 );
                 std::process::exit(2);
             }
         }
     }
     cli
-}
-
-/// The checked-in perf baseline consulted for queue-preallocation hints.
-pub const BASELINE_FILE: &str = "BENCH_baseline.json";
-
-/// Reads per-technique queue-depth peaks from a `BENCH_*.json` perf log,
-/// ignoring it entirely when it was measured at a different scale (a
-/// quick-scale peak would under-allocate an eval run; an eval peak would
-/// waste memory on a quick one). Missing or malformed files yield an
-/// empty map — hints are an optimization, never a requirement.
-pub fn load_queue_hints(path: &str, scale: Scale) -> BTreeMap<String, usize> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return BTreeMap::new();
-    };
-    let Ok(root) = serde_json::from_str(&text) else {
-        return BTreeMap::new();
-    };
-    if root.get("scale").and_then(serde::Value::as_str) != Some(scale.name()) {
-        return BTreeMap::new();
-    }
-    let Some(cells) = root.get("cells").and_then(serde::Value::as_array) else {
-        return BTreeMap::new();
-    };
-    let mut hints = BTreeMap::new();
-    for cell in cells {
-        let (Some(technique), Some(depth)) = (
-            cell.get("technique").and_then(serde::Value::as_str),
-            cell.get("peak_queue_depth").and_then(serde::Value::as_u64),
-        ) else {
-            continue;
-        };
-        let e = hints.entry(technique.to_string()).or_insert(0usize);
-        *e = (*e).max(depth as usize);
-    }
-    hints
-}
-
-/// Builds the testbed for a CLI invocation, primed with the checked-in
-/// baseline's per-technique queue peaks so the first cell of the run
-/// preallocates its event queue too.
-pub fn primed_testbed(cli: &Cli) -> Testbed {
-    let mut tb = Testbed::new(cli.scale.config(cli.seed));
-    tb.prime_queue_hints(load_queue_hints(BASELINE_FILE, cli.scale));
-    tb
 }
 
 /// Writes a JSON result file under the CLI's output directory.
@@ -508,14 +411,7 @@ pub struct Table1 {
     pub rows: BTreeMap<String, (f64, Vec<(u8, f64)>)>,
 }
 
-/// Computes Table 1 across sites on `jobs` worker threads.
-pub fn compute_table1(testbed: &Testbed, prepend_counts: &[u8], jobs: usize) -> Table1 {
-    compute_table1_dispatch(testbed, prepend_counts, &mut Dispatch::local(jobs))
-        .expect("local dispatch cannot fail on well-formed cells")
-        .0
-}
-
-/// [`compute_table1`] over an explicit [`Dispatch`], also returning the
+/// Table 1 across sites over an explicit [`Dispatch`], also returning the
 /// perf log — control cells are counted in `PerfLog` under the pseudo
 /// technique name `control`, mirroring the failover grid's records.
 pub fn compute_table1_dispatch(
@@ -547,15 +443,12 @@ pub fn compute_table1_dispatch(
                 return Err(format!("cell {i}: failover output for a control cell"));
             }
         };
-        log.cells.push(CellRecord {
-            technique: "control".to_string(),
-            site: r.site_name.clone(),
-            seed: testbed.cfg.seed,
-            events_processed: perf.events_processed,
-            peak_queue_depth: perf.peak_queue_depth,
-            queue_capacity: perf.queue_capacity,
-            wall_micros: perf.wall_micros,
-        });
+        log.cells.push(CellRecord::new(
+            "control",
+            &r.site_name,
+            testbed.cfg.seed,
+            &perf,
+        ));
         rows.insert(r.site_name, (r.frac_not_anycast_routed, r.steered));
     }
     Ok((Table1 { site_order, rows }, log))

@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use bobw_core::{FailoverResult, Technique, Testbed};
+use bobw_core::{CellPerf, FailoverResult, Technique, Testbed};
 use bobw_dist::{
     execute_cell, install_sigint_handler, AuthSecret, CellOutput, CellSpec, Coordinator,
     CoordinatorConfig, Endpoint,
@@ -138,7 +138,7 @@ impl Dispatch {
         Ok(Dispatch::Daemon { client, label })
     }
 
-    /// Parses a `--dispatch` / `BOBW_DISPATCH` value: `local`, a
+    /// Parses a `--dispatch` value: `local`, a
     /// coordinator bind URL (`tcp://…`/`unix://…`), or `daemon:<url>` for
     /// a persistent service.
     pub fn from_arg(arg: &str, jobs: usize) -> Result<Dispatch, String> {
@@ -245,6 +245,23 @@ pub struct CellRecord {
     pub wall_micros: u64,
 }
 
+impl CellRecord {
+    /// The record of one cell: what it was (`technique` is a technique
+    /// name or a pseudo name such as `control` or a study name, `site` a
+    /// site or population name) and its counters.
+    pub fn new(technique: &str, site: &str, seed: u64, perf: &CellPerf) -> CellRecord {
+        CellRecord {
+            technique: technique.to_string(),
+            site: site.to_string(),
+            seed,
+            events_processed: perf.events_processed,
+            peak_queue_depth: perf.peak_queue_depth,
+            queue_capacity: perf.queue_capacity,
+            wall_micros: perf.wall_micros,
+        }
+    }
+}
+
 /// Perf trajectory of one or more runner batches: every cell's counters
 /// plus the batch-level wall time and worker count. Serialized to
 /// `BENCH_*.json` and summarized in `results/SUMMARY.md` — never into
@@ -253,8 +270,8 @@ pub struct CellRecord {
 pub struct PerfLog {
     /// Worker threads the batches ran with.
     pub jobs: usize,
-    /// Experiment scale the cells ran at (`quick`/`eval`/`large`); lets a
-    /// baseline consumer refuse hints measured at a different scale.
+    /// Experiment scale the cells ran at (`quick`/`eval`/`large`); lets
+    /// `bench_gate` refuse a log measured at a different scale.
     pub scale: String,
     /// Wall time of the batches end to end (elapsed, not summed per cell).
     pub elapsed_micros: u64,
@@ -288,17 +305,6 @@ impl PerfLog {
             .map(|c| c.peak_queue_depth)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Per-technique queue-depth peaks — what `Testbed::prime_queue_hints`
-    /// consumes on the next run so its first cell preallocates.
-    pub fn queue_hints(&self) -> std::collections::BTreeMap<String, usize> {
-        let mut hints = std::collections::BTreeMap::new();
-        for c in &self.cells {
-            let e = hints.entry(c.technique.clone()).or_insert(0usize);
-            *e = (*e).max(c.peak_queue_depth);
-        }
-        hints
     }
 
     /// Sum of per-cell wall times. The ratio against `elapsed_micros` is
@@ -408,15 +414,12 @@ pub fn run_failover_grid_dispatch(
                 return Err(format!("cell {i}: control output for a failover cell"));
             }
         };
-        log.cells.push(CellRecord {
-            technique: techniques[ti].name(),
-            site: result.site_name.clone(),
-            seed: testbed.cfg.seed,
-            events_processed: perf.events_processed,
-            peak_queue_depth: perf.peak_queue_depth,
-            queue_capacity: perf.queue_capacity,
-            wall_micros: perf.wall_micros,
-        });
+        log.cells.push(CellRecord::new(
+            &techniques[ti].name(),
+            &result.site_name,
+            testbed.cfg.seed,
+            &perf,
+        ));
         grouped[ti].push(result);
     }
     Ok((grouped, log))

@@ -8,8 +8,8 @@ use std::collections::BTreeMap;
 
 use bobw_bgp::{dump_rib, BgpTimingConfig, OriginConfig, Standalone};
 use bobw_core::{
-    measure_control, run_failover, ExperimentConfig, FailureMode, SessionModel, Technique, Testbed,
-    TrafficConfig, TrafficSummary,
+    try_measure_control_instrumented, try_run_failover_instrumented, ExperimentConfig, FailureMode,
+    SessionModel, Technique, Testbed, TrafficConfig, TrafficSummary,
 };
 use bobw_dataplane::{walk_with_path, ForwardEnv};
 use bobw_event::SimDuration;
@@ -83,7 +83,11 @@ impl Options {
             };
         }
         if let Some(h) = self.get("hold") {
-            cfg.timing.hold_time_s = h.parse().map_err(|_| format!("bad --hold {h:?}"))?;
+            cfg.timing.hold_time_s = h
+                .parse()
+                .ok()
+                .filter(|s: &f64| s.is_finite() && *s >= 0.0)
+                .ok_or_else(|| format!("bad --hold {h:?} (seconds >= 0)"))?;
         }
         match self.get("traffic") {
             None | Some("off") => {}
@@ -266,7 +270,7 @@ fn cmd_failover(opts: &Options) -> Result<String, String> {
         .cdn
         .by_name(site_name)
         .ok_or_else(|| format!("unknown site {site_name:?}"))?;
-    let r = run_failover(&tb, &technique, site);
+    let (r, _) = try_run_failover_instrumented(&tb, &technique, site)?;
     let recon = Cdf::new(r.reconnection_secs());
     let fail = Cdf::new(r.failover_secs());
     Ok(format!(
@@ -654,7 +658,7 @@ fn cmd_scenario(opts: &Options) -> Result<String, String> {
                 .cdn
                 .by_name(&site_name)
                 .ok_or_else(|| format!("unknown site {site_name:?}"))?;
-            let r = run_failover(&tb, &technique, site);
+            let (r, _) = try_run_failover_instrumented(&tb, &technique, site)?;
             let recon = Cdf::new(r.reconnection_secs());
             let fail = Cdf::new(r.failover_secs());
             Ok(format!(
@@ -695,10 +699,6 @@ fn cmd_catchment(opts: &Options) -> Result<String, String> {
         None => {
             // Pure anycast catchment sizes.
             out.push_str("anycast catchment (clients per site):\n");
-            let r = measure_control(&tb, SiteId(0), &[]);
-            let _ = r; // anycast row computed below per site
-                       // One converged anycast run, counted via control measurement of
-                       // each site's not-routed fraction is awkward; do it directly.
             let rng = &tb.rng;
             let mut sim = Standalone::with_queue_capacity(
                 &tb.topo,
@@ -740,7 +740,7 @@ fn cmd_catchment(opts: &Options) -> Result<String, String> {
                 "proactive-prepending control per site (backups prepend {k}):\n"
             ));
             for site in tb.cdn.sites() {
-                let r = measure_control(&tb, site, &[k]);
+                let (r, _) = try_measure_control_instrumented(&tb, site, &[k])?;
                 out.push_str(&format!(
                     "  {:<5} not-anycast-routed {:>4}, steered {:>4}\n",
                     r.site_name,
@@ -908,6 +908,10 @@ mod tests {
     fn bad_scale_is_reported() {
         let err = run(&s(&["topology", "--scale", "galactic"])).unwrap_err();
         assert!(err.contains("galactic"));
+        for hold in ["-5", "nan", "inf"] {
+            let err = run(&s(&["failover", "--failure", "crash", "--hold", hold])).unwrap_err();
+            assert!(err.contains("--hold"), "{hold}: {err}");
+        }
     }
 
     #[test]
@@ -982,6 +986,31 @@ mod tests {
         .unwrap();
         assert!(ran.contains("scenario site-failure"), "{ran}");
         assert!(ran.contains("site=bos"), "{ran}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A scenario that compiles to an invalid fault is an error from
+    /// `scenario run`, as it is from `scenario validate` — never a panic.
+    #[test]
+    fn scenario_run_reports_an_invalid_scenario() {
+        let catalog = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/session-reset.json"
+        );
+        let text = std::fs::read_to_string(catalog).unwrap();
+        assert!(text.contains("\"link\": 0"), "{text}");
+        let dir = std::env::temp_dir().join(format!("bobw-cli-bad-link-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("session-reset.json");
+        std::fs::write(&file, text.replace("\"link\": 0", "\"link\": 99")).unwrap();
+        let file = file.to_str().unwrap();
+        for verb in ["run", "validate"] {
+            let err = run(&s(&[
+                "scenario", verb, file, "--scale", "quick", "--site", "bos",
+            ]))
+            .unwrap_err();
+            assert!(err.contains("link index 99 out of range"), "{verb}: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -12,10 +12,11 @@
 //! ```
 
 use bobw::bgp::{OriginConfig, Standalone};
-use bobw::core::{anycast_load, assign_load_aware, ExperimentConfig, LoadModel, Testbed};
+use bobw::core::{ExperimentConfig, Testbed};
 use bobw::dataplane::{catchment, ForwardEnv};
 use bobw::event::{SimDuration, SimTime};
 use bobw::net::Prefix;
+use bobw::traffic::assign::{anycast_load, assign_load_aware, LoadModel};
 use bobw::traffic::{Steering, Surge, TrafficConfig, TrafficSim};
 
 fn main() {
